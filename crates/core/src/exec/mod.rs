@@ -5,7 +5,7 @@ pub mod blame;
 mod data;
 pub mod functional;
 pub mod plan;
-pub mod report;
+mod report;
 pub mod timing;
 
 pub use blame::BlameRecorder;
@@ -14,11 +14,10 @@ pub use functional::{execute, execute_lean, FunctionalRun, GraphProfile, NodePro
 pub use plan::{PlanCache, SimScratch, StagePlan};
 pub use timing::{
     bytes_per_cycle_to_gbps, endpoint_name, gbps_to_bytes_per_cycle, jump_enabled,
-    set_jump_enabled, simulate, simulate_plan, simulate_plan_blamed, simulate_plan_traced,
-    simulate_traced, BwStats, ConnMatrix, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
+    set_jump_enabled, BwStats, ConnMatrix, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
 };
 
-use q100_trace::{BlameReport, TraceSink};
+use q100_trace::TraceSink;
 
 use std::sync::Arc;
 
@@ -29,7 +28,6 @@ use crate::error::Result;
 use crate::isa::graph::QueryGraph;
 use crate::power;
 use crate::sched::{self, Schedule};
-use crate::tiles::TileKind;
 
 /// The complete outcome of simulating one query on one Q100
 /// configuration: functional results, schedule, timing, and energy.
@@ -109,7 +107,7 @@ impl SimOutcome {
     ///
     /// Returns an error when the query has multiple sinks (see
     /// [`FunctionalRun::result_table`]).
-    pub fn result_table(&self, _graph: &QueryGraph) -> Result<Table> {
+    pub fn result_table(&self) -> Result<Table> {
         // Reconstruct via the stored sink streams.
         if self.results.len() == 1 {
             return match self.results[0].as_ref() {
@@ -172,100 +170,35 @@ impl<'a> Simulator<'a> {
     }
 
     /// Functionally executes, schedules, and times `graph` against
-    /// `catalog`.
+    /// `catalog` — the one-call entry point.
     ///
     /// # Errors
     ///
     /// Propagates graph validation, execution, scheduling, and
     /// configuration errors.
     pub fn run(&self, graph: &QueryGraph, catalog: &dyn Catalog) -> Result<SimOutcome> {
-        self.run_traced(graph, catalog, None)
-    }
-
-    /// [`run`](Self::run), emitting structured [`q100_trace::TraceEvent`]s
-    /// from the timing layer into `sink` (see
-    /// [`timing::simulate_traced`]). `None` is exactly [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_traced(
-        &self,
-        graph: &QueryGraph,
-        catalog: &dyn Catalog,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
         // Lean execution: intermediates are dropped as consumed, so the
         // peak footprint tracks the largest working set, not the whole
         // dataflow history.
         let functional = functional::execute_lean(graph, catalog)?;
-        self.run_profiled_traced(graph, &functional, sink)
+        let plan = self.plan(graph, &functional.profile)?;
+        self.run_planned(&plan, &functional, graph, &mut SimScratch::new())
     }
 
-    /// Schedules and times a query whose functional run (and volume
-    /// profile) already exists — lets experiments sweep many
-    /// configurations while executing the data exactly once.
+    /// Validates the configuration, schedules `graph` on its tile mix
+    /// with its scheduler, validates the schedule, and compiles the
+    /// [`StagePlan`] the timing layer runs from. Sweeps that revisit a
+    /// (query, scheduler, mix) memoize this step in a [`PlanCache`].
     ///
     /// # Errors
     ///
-    /// Propagates scheduling and configuration errors.
-    pub fn run_profiled(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-    ) -> Result<SimOutcome> {
-        self.run_profiled_traced(graph, functional, None)
-    }
-
-    /// [`run_profiled`](Self::run_profiled) with an optional trace sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_profiled`](Self::run_profiled).
-    pub fn run_profiled_traced(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
+    /// Propagates configuration, scheduling, and schedule validation
+    /// errors.
+    pub fn plan(&self, graph: &QueryGraph, profile: &GraphProfile) -> Result<StagePlan> {
         self.config.validate()?;
-        let schedule =
-            sched::schedule(self.config.scheduler, graph, &self.config.mix, &functional.profile)?;
-        self.run_scheduled_traced(graph, functional, schedule, sink)
-    }
-
-    /// Times a query under an externally supplied schedule (used by the
-    /// scheduler-comparison experiments).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule validation and configuration errors.
-    pub fn run_scheduled(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        schedule: Schedule,
-    ) -> Result<SimOutcome> {
-        self.run_scheduled_traced(graph, functional, schedule, None)
-    }
-
-    /// [`run_scheduled`](Self::run_scheduled) with an optional trace
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_scheduled`](Self::run_scheduled).
-    pub fn run_scheduled_traced(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        schedule: Schedule,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
+        let schedule = sched::schedule(self.config.scheduler, graph, &self.config.mix, profile)?;
         schedule.validate(graph, &self.config.mix)?;
-        let plan = StagePlan::compile(graph, Arc::new(schedule), &functional.profile)?;
-        let mut scratch = SimScratch::new();
-        self.run_planned_traced(&plan, functional, graph, &mut scratch, sink)
+        StagePlan::compile(graph, Arc::new(schedule), profile)
     }
 
     /// Times a query from a pre-compiled [`StagePlan`], reusing
@@ -283,35 +216,22 @@ impl<'a> Simulator<'a> {
         graph: &QueryGraph,
         scratch: &mut SimScratch,
     ) -> Result<SimOutcome> {
-        self.run_planned_traced(plan, functional, graph, scratch, None)
+        self.run_observed(plan, functional, graph, scratch, None, None)
     }
 
-    /// [`run_planned`](Self::run_planned) with an optional trace sink.
+    /// [`run_planned`](Self::run_planned) with observers attached:
+    /// `sink` receives structured [`q100_trace::TraceEvent`]s from the
+    /// timing layer, and `blame` classifies every node's cycles into a
+    /// stall-blame ledger (turn it into a [`q100_trace::BlameReport`]
+    /// with [`BlameRecorder::report`]). Neither observer perturbs the
+    /// simulated cycles: the quantum-jump fast path stays armed while
+    /// recording blame (jumped segments bulk-fold their per-quantum
+    /// blame), and only a sink forces pure stepping.
     ///
     /// # Errors
     ///
     /// As [`run_planned`](Self::run_planned).
-    pub fn run_planned_traced(
-        &self,
-        plan: &StagePlan,
-        functional: &FunctionalRun,
-        graph: &QueryGraph,
-        scratch: &mut SimScratch,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
-        self.run_planned_blamed(plan, functional, graph, scratch, sink, None)
-    }
-
-    /// [`run_planned_traced`](Self::run_planned_traced) with an optional
-    /// stall-blame recorder (see [`timing::simulate_plan_blamed`]).
-    /// Cycle counts and blame totals are identical with or without the
-    /// quantum-jump fast path, which stays armed while recording: jumped
-    /// segments bulk-fold their per-quantum blame into the ledger.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_planned`](Self::run_planned).
-    pub fn run_planned_blamed(
+    pub fn run_observed(
         &self,
         plan: &StagePlan,
         functional: &FunctionalRun,
@@ -320,7 +240,7 @@ impl<'a> Simulator<'a> {
         sink: Option<&mut (dyn TraceSink + '_)>,
         blame: Option<&mut BlameRecorder>,
     ) -> Result<SimOutcome> {
-        let timing = timing::simulate_plan_blamed(plan, self.config, scratch, sink, blame)?;
+        let timing = timing::simulate_plan(plan, self.config, scratch, sink, blame)?;
         Ok(SimOutcome {
             cycles: timing.cycles,
             results: functional.results(graph),
@@ -329,46 +249,6 @@ impl<'a> Simulator<'a> {
             config: self.config.clone(),
         })
     }
-
-    /// [`run`](Self::run) with stall-blame attribution: simulates the
-    /// query once with a [`BlameRecorder`] attached and returns the
-    /// outcome together with the per-node cycle ledger (see
-    /// [`q100_trace::BlameReport`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_attributed(
-        &self,
-        graph: &QueryGraph,
-        catalog: &dyn Catalog,
-    ) -> Result<(SimOutcome, BlameReport)> {
-        self.config.validate()?;
-        let functional = functional::execute_lean(graph, catalog)?;
-        let schedule =
-            sched::schedule(self.config.scheduler, graph, &self.config.mix, &functional.profile)?;
-        schedule.validate(graph, &self.config.mix)?;
-        let plan = StagePlan::compile(graph, Arc::new(schedule), &functional.profile)?;
-        let mut scratch = SimScratch::new();
-        let mut recorder = BlameRecorder::new();
-        let outcome = self.run_planned_blamed(
-            &plan,
-            &functional,
-            graph,
-            &mut scratch,
-            None,
-            Some(&mut recorder),
-        )?;
-        let report = recorder.report(&outcome.timing, &self.config.mix);
-        Ok((outcome, report))
-    }
-}
-
-/// Sum of busy cycles over all tile kinds (a coarse activity metric used
-/// by tests).
-#[must_use]
-pub fn total_busy_cycles(busy: &[f64; TileKind::COUNT]) -> f64 {
-    busy.iter().sum()
 }
 
 #[cfg(test)]
@@ -388,6 +268,21 @@ mod tests {
         (b.finish().unwrap(), cat)
     }
 
+    /// Runs the fixture through [`Simulator::plan`] and
+    /// [`Simulator::run_observed`] with the given observers attached.
+    fn observed(
+        config: &SimConfig,
+        g: &QueryGraph,
+        cat: &MemoryCatalog,
+        sink: Option<&mut (dyn TraceSink + '_)>,
+        blame: Option<&mut BlameRecorder>,
+    ) -> SimOutcome {
+        let functional = functional::execute_lean(g, cat).unwrap();
+        let sim = Simulator::new(config);
+        let plan = sim.plan(g, &functional.profile).unwrap();
+        sim.run_observed(&plan, &functional, g, &mut SimScratch::new(), sink, blame).unwrap()
+    }
+
     #[test]
     fn simulator_end_to_end() {
         let (g, cat) = fixture();
@@ -396,7 +291,7 @@ mod tests {
         assert!(out.energy_mj() > 0.0);
         assert!(out.avg_power_w() > 0.0);
         assert_eq!(out.results.len(), 1);
-        let t = out.result_table(&g).unwrap();
+        let t = out.result_table().unwrap();
         assert_eq!(t.row_count(), 100);
     }
 
@@ -409,13 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn run_profiled_reuses_functional_run() {
+    fn run_planned_reuses_functional_run() {
         let (g, cat) = fixture();
         let functional = functional::execute(&g, &cat).unwrap();
-        let a = Simulator::new(&SimConfig::new(TileMix::uniform(4)))
-            .run_profiled(&g, &functional)
-            .unwrap();
-        let b = Simulator::new(&SimConfig::new(TileMix::uniform(4))).run(&g, &cat).unwrap();
+        let config = SimConfig::new(TileMix::uniform(4));
+        let sim = Simulator::new(&config);
+        let plan = sim.plan(&g, &functional.profile).unwrap();
+        let a = sim.run_planned(&plan, &functional, &g, &mut SimScratch::new()).unwrap();
+        let b = sim.run(&g, &cat).unwrap();
         assert_eq!(a.cycles, b.cycles);
     }
 
@@ -430,7 +326,7 @@ mod tests {
         let untraced = Simulator::new(&config).run(&g, &cat).unwrap();
 
         let mut rec = RingRecorder::new();
-        let traced = Simulator::new(&config).run_traced(&g, &cat, Some(&mut rec)).unwrap();
+        let traced = observed(&config, &g, &cat, Some(&mut rec), None);
         assert_eq!(traced.cycles, untraced.cycles, "tracing must not perturb timing");
         assert_eq!(rec.dropped(), 0);
 
@@ -444,24 +340,47 @@ mod tests {
 
         // Same query, same config: byte-identical event stream.
         let mut rec2 = RingRecorder::new();
-        let _ = Simulator::new(&config).run_traced(&g, &cat, Some(&mut rec2)).unwrap();
+        let _ = observed(&config, &g, &cat, Some(&mut rec2), None);
         assert_eq!(events, rec2.events());
     }
 
     #[test]
     fn attributed_run_matches_plain_and_balances() {
+        use q100_trace::{RingRecorder, TraceEvent};
+
         let (g, cat) = fixture();
         // Tight mix: multiple stages, so TileWait/Drained spans appear.
         let config = SimConfig::new(TileMix::uniform(1));
         let plain = Simulator::new(&config).run(&g, &cat).unwrap();
-        let (out, report) = Simulator::new(&config).run_attributed(&g, &cat).unwrap();
+        let attributed = |sink: Option<&mut (dyn TraceSink + '_)>| {
+            let mut recorder = BlameRecorder::new();
+            let out = observed(&config, &g, &cat, sink, Some(&mut recorder));
+            let report = recorder.report(&out.timing, &config.mix);
+            (out, report)
+        };
+        let (out, report) = attributed(None);
         assert_eq!(out.cycles, plain.cycles, "blame recording must not perturb timing");
         assert_eq!(report.cycles, out.cycles);
         assert!(!report.nodes.is_empty());
         report.check_invariant().unwrap();
         // Attribution is deterministic.
-        let (_, again) = Simulator::new(&config).run_attributed(&g, &cat).unwrap();
+        let (_, again) = attributed(None);
         assert_eq!(report.nodes, again.nodes);
+
+        // Both observers at once: neither perturbs timing, the ledger
+        // still balances, and the event stream is the sink-only one
+        // plus the recorder's blame counter samples.
+        let mut sink_only = RingRecorder::new();
+        let _ = observed(&config, &g, &cat, Some(&mut sink_only), None);
+        let mut both = RingRecorder::new();
+        let (out, report) = attributed(Some(&mut both));
+        assert_eq!(out.cycles, plain.cycles, "sink + blame must not perturb timing");
+        report.check_invariant().unwrap();
+        assert_eq!(report.nodes, again.nodes);
+        let (blame_samples, rest): (Vec<_>, Vec<_>) =
+            both.events().into_iter().partition(|e| matches!(e, TraceEvent::BlameSample { .. }));
+        assert!(!blame_samples.is_empty());
+        assert_eq!(rest, sink_only.events());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!
 //! The network *topology* is compiled once per (query, schedule) into a
 //! [`StagePlan`] (see [`crate::exec::plan`]); the simulation itself runs
-//! off that immutable plan plus a caller-owned [`SimScratch`], via
-//! [`simulate_plan`] / [`simulate_plan_traced`]. [`simulate`] and
-//! [`simulate_traced`] remain as compile-then-run conveniences.
+//! off that immutable plan plus a caller-owned [`SimScratch`], in
+//! `simulate_plan`, which every [`Simulator`](crate::exec::Simulator)
+//! entry point reaches.
 //!
 //! The quantum loop carries an *analytic event-horizon solver*: after
 //! every quantum that made progress it solves, in closed form, for how
@@ -38,18 +38,14 @@
 //! recorders; only a trace sink forces pure stepping (jumped quanta
 //! emit no per-quantum events).
 
-use std::sync::Arc;
-
 use q100_trace::{BlameCause, TraceEvent, TraceSink};
 
 use crate::config::SimConfig;
 use crate::error::{CoreError, Result};
 use crate::exec::blame::BlameRecorder;
-use crate::exec::functional::GraphProfile;
 use crate::exec::plan::{PlanInput, PlanNode, PlanSource, SimScratch, StagePlan, StageTopo};
-use crate::isa::graph::{QueryGraph, SpatialOp};
+use crate::isa::graph::SpatialOp;
 use crate::resilience::Derate;
-use crate::sched::Schedule;
 use crate::tiles::{memory_latency_cycles, TileKind, FREQUENCY_MHZ, SORTER_BATCH};
 
 /// Endpoints of a communication link: the eleven tile kinds plus memory
@@ -227,92 +223,28 @@ pub(crate) fn consume_mode(op: &SpatialOp) -> ConsumeMode {
     }
 }
 
-/// Simulates one scheduled query and returns its timing result.
+/// Simulates a compiled plan under `config`, reusing `scratch` for all
+/// mutable state — the allocation-free hot path behind every public
+/// [`Simulator`](crate::exec::Simulator) entry point.
 ///
-/// Compiles a throwaway [`StagePlan`] and runs it; sweeps that revisit
-/// a (query, schedule) should compile once and call [`simulate_plan`].
+/// With `sink` attached, structured [`TraceEvent`]s are emitted:
+/// temporal-instruction boundaries, per-quantum tile occupancy and
+/// memory bandwidth samples, stage stream-buffer fill/spill volumes, and
+/// per-link peak-bandwidth updates. With `blame` attached, every node's
+/// cycles are classified into the exhaustive [`BlameCause`] taxonomy
+/// (see [`crate::exec::blame`]). With both `None` the per-quantum hot
+/// loop only pays untaken branches. The quantum-jump fast path stays
+/// armed under blame — jumped segments bulk-fold their per-quantum blame
+/// into the recorder's counters ([`BlameRecorder::fold_quantum`]), so the
+/// attributed ledger and the simulated cycle counts are bit-identical to
+/// pure stepping.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BadConfig`] if the simulation fails to make
 /// progress (which would indicate an internal modelling bug) or the
 /// configuration is invalid.
-pub fn simulate(
-    graph: &QueryGraph,
-    schedule: &Schedule,
-    profile: &GraphProfile,
-    config: &SimConfig,
-) -> Result<TimingResult> {
-    simulate_traced(graph, schedule, profile, config, None)
-}
-
-/// [`simulate`], additionally emitting structured [`TraceEvent`]s into
-/// `sink`: temporal-instruction boundaries, per-quantum tile occupancy
-/// and memory bandwidth samples, stage stream-buffer fill/spill
-/// volumes, and per-link peak-bandwidth updates.
-///
-/// With `sink == None` this is exactly [`simulate`]: no events are
-/// constructed and the per-quantum hot loop only pays an untaken
-/// branch, so untraced simulations keep their performance.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_traced(
-    graph: &QueryGraph,
-    schedule: &Schedule,
-    profile: &GraphProfile,
-    config: &SimConfig,
-    sink: Option<&mut (dyn TraceSink + '_)>,
-) -> Result<TimingResult> {
-    config.validate()?;
-    let plan = StagePlan::compile(graph, Arc::new(schedule.clone()), profile)?;
-    let mut scratch = SimScratch::new();
-    simulate_plan_traced(&plan, config, &mut scratch, sink)
-}
-
-/// Simulates a compiled plan under `config`, reusing `scratch` for all
-/// mutable state — the allocation-free sweep hot path.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_plan(
-    plan: &StagePlan,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Result<TimingResult> {
-    simulate_plan_traced(plan, config, scratch, None)
-}
-
-/// [`simulate_plan`] with an optional trace sink (see
-/// [`simulate_traced`] for the event inventory).
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_plan_traced(
-    plan: &StagePlan,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-    sink: Option<&mut (dyn TraceSink + '_)>,
-) -> Result<TimingResult> {
-    simulate_plan_blamed(plan, config, scratch, sink, None)
-}
-
-/// [`simulate_plan_traced`], additionally classifying every node's
-/// cycles into the exhaustive [`BlameCause`] taxonomy through `blame`
-/// (see [`crate::exec::blame`]). With `blame == None` this is exactly
-/// [`simulate_plan_traced`]: the hot loop pays untaken branches only.
-/// The quantum-jump fast path stays armed either way — jumped segments
-/// bulk-fold their per-quantum blame into the recorder's counters
-/// ([`BlameRecorder::fold_quantum`]), so the attributed ledger and the
-/// simulated cycle counts are bit-identical to pure stepping.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_plan_blamed(
+pub(crate) fn simulate_plan(
     plan: &StagePlan,
     config: &SimConfig,
     scratch: &mut SimScratch,
@@ -2062,11 +1994,12 @@ mod tests {
     use super::*;
     use crate::config::{Bandwidth, SimConfig, TileMix};
     use crate::exec::data::MemoryCatalog;
-    use crate::exec::functional::execute;
+    use crate::exec::functional::{execute, GraphProfile};
     use crate::isa::graph::QueryGraph;
     use crate::isa::ops::CmpOp;
-    use crate::sched::schedule_naive;
+    use crate::sched::{schedule_naive, Schedule};
     use q100_columnar::{Column, Table, Value};
+    use std::sync::Arc;
 
     fn pipeline_fixture(rows: i64) -> (QueryGraph, MemoryCatalog) {
         let t = Table::new(vec![Column::from_ints("x", (0..rows).collect::<Vec<_>>())]).unwrap();
@@ -2076,6 +2009,16 @@ mod tests {
         let c = b.bool_gen_const(x, CmpOp::Lt, Value::Int(rows / 2));
         let _f = b.col_filter(x, c);
         (b.finish().unwrap(), cat)
+    }
+
+    fn simulate(
+        graph: &QueryGraph,
+        schedule: &Schedule,
+        profile: &GraphProfile,
+        config: &SimConfig,
+    ) -> Result<TimingResult> {
+        let plan = StagePlan::compile(graph, Arc::new(schedule.clone()), profile)?;
+        simulate_plan(&plan, config, &mut SimScratch::new(), None, None)
     }
 
     fn time_with(config: &SimConfig, graph: &QueryGraph, cat: &MemoryCatalog) -> TimingResult {

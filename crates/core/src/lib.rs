@@ -28,26 +28,24 @@ pub mod tiles;
 
 pub use config::{Bandwidth, SchedulerKind, SimConfig, TileMix};
 pub use error::{CoreError, Result};
-pub use exec::report::render_report;
 pub use exec::{
-    execute, execute_lean, jump_enabled, set_jump_enabled, simulate, simulate_traced,
-    BlameRecorder, BwStats, Catalog, ConnMatrix, Data, FunctionalRun, GraphProfile, MemoryCatalog,
-    PlanCache, SimOutcome, SimScratch, Simulator, StagePlan, TimingResult, ENDPOINTS,
-    MEMORY_ENDPOINT,
+    execute, execute_lean, jump_enabled, set_jump_enabled, BlameRecorder, BwStats, Catalog,
+    ConnMatrix, Data, FunctionalRun, GraphProfile, MemoryCatalog, PlanCache, SimOutcome,
+    SimScratch, Simulator, StagePlan, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
 };
 pub use isa::{AggOp, AluOp, CmpOp, GraphBuilder, NodeId, PortRef, QueryGraph, SpatialOp};
 pub use power::DesignBudget;
 pub use resilience::{
-    estimate_class_cycles, estimate_service_cycles, run_resilient, CostKey, Derate, Fault,
-    FaultScenario, ResilientOutcome, ScenarioClass, ScenarioClassifier, ServiceCost,
-    ServiceCostCache,
+    run_resilient, CostKey, Derate, Fault, FaultScenario, ResilientOutcome, ScenarioClass,
+    ScenarioClassifier, ServiceCost, ServiceCostCache,
 };
 pub use sched::{check_feasible, schedule, CacheStats, Schedule, ScheduleCache, Tinst};
 pub use tiles::{TileKind, TileSpec, FREQUENCY_MHZ, SORTER_BATCH};
 
 /// Structured tracing and metrics (re-export of [`q100_trace`]): the
 /// timing simulator emits [`trace::TraceEvent`]s into any
-/// [`trace::TraceSink`] handed to the `*_traced` entry points, and the
+/// [`trace::TraceSink`] handed to [`Simulator::run_observed`] or
+/// [`run_resilient`], and the
 /// events export to Chrome `trace_event` JSON via
 /// [`trace::chrome_trace_json`].
 pub use q100_trace as trace;

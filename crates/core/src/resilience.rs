@@ -468,7 +468,7 @@ pub fn run_resilient(
 
     let sim = Simulator::new(&degraded);
     let mut scratch = SimScratch::new();
-    let outcome = sim.run_planned_traced(&plan, functional, graph, &mut scratch, sink)?;
+    let outcome = sim.run_observed(&plan, functional, graph, &mut scratch, sink, None)?;
     if let Some(r) = registry {
         r.inc("sim.jumps", scratch.jumps);
         r.inc("sim.jumped_quanta", scratch.jumped_quanta);
@@ -480,34 +480,6 @@ pub fn run_resilient(
         rescheduled,
         degraded_mix: degraded.mix,
     })
-}
-
-/// The serving layer's fallible cycle-estimate entry point: runs
-/// `scenario` against `(graph, functional, base)` through the shared
-/// caches — exactly like [`run_resilient`], but without tracing or
-/// metrics plumbing — and returns only the end-to-end simulated cycle
-/// count.
-///
-/// An empty scenario reproduces the fault-free cycle count exactly
-/// (see [`FaultScenario::apply`]), which lets callers memoize the
-/// healthy baseline and skip re-simulation for fault-free requests.
-///
-/// # Errors
-///
-/// Returns [`crate::CoreError::Unschedulable`] when the degraded mix
-/// can no longer host the graph — the signal a serving layer uses to
-/// fall back to the software path — and propagates simulation errors.
-pub fn estimate_service_cycles(
-    graph: &QueryGraph,
-    functional: &FunctionalRun,
-    base: &SimConfig,
-    scenario: &FaultScenario,
-    cache: &ScheduleCache,
-    plans: &PlanCache,
-    tag: u64,
-) -> Result<u64> {
-    run_resilient(graph, functional, base, scenario, cache, plans, tag, None, None)
-        .map(|run| run.outcome.cycles)
 }
 
 /// The bit pattern of `1.0f64` — the "no derating" factor encoding in a
@@ -525,8 +497,8 @@ fn one_bits() -> u64 {
 /// stall set, see [`ScenarioClass`]) are guaranteed to simulate to the
 /// same cycle count, so service layers can memoize cycles per key
 /// instead of per scenario. Produced by [`ScenarioClassifier::classify`];
-/// turned back into a runnable configuration by
-/// [`estimate_class_cycles`].
+/// turned back into a runnable configuration by swapping
+/// [`CostKey::mix`] and [`CostKey::derate`] into the base [`SimConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostKey {
     /// The canonical tile mix: kills folded in, then clamped to the
@@ -649,7 +621,7 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 ///
 /// The classifier exploits four exactness properties of the timing
 /// model, each keeping the class→cycles mapping *bit-identical* to a
-/// fresh [`estimate_service_cycles`] run:
+/// fresh [`run_resilient`] run:
 ///
 /// 1. **Stall exclusion** — per-stage stall cycles are added to the
 ///    total after the stage drains, with no feedback into flow rates,
@@ -780,7 +752,7 @@ impl ScenarioClassifier {
 
     /// Canonicalizes `scenario` into its [`ScenarioClass`] for this
     /// query. `scheduler`, `sched_cache`, `plans`, and `tag` mirror the
-    /// arguments a fresh [`estimate_service_cycles`] run would use —
+    /// arguments a fresh [`run_resilient`] run would use —
     /// they feed the per-canonical-mix plan memo.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
@@ -829,32 +801,6 @@ impl ScenarioClassifier {
         }
         ScenarioClass { key, stalls, feasible: true }
     }
-}
-
-/// Simulates the cost of one [`CostKey`] on `plan` (the canonical-mix
-/// plan from [`ScenarioClassifier::plan`]): `base` with the key's mix
-/// and derate swapped in, run through the planned timing path. Stall
-/// cycles are *not* part of a key — add [`ScenarioClass::stall_extra`]
-/// to the returned cycles.
-///
-/// # Errors
-///
-/// Propagates simulation errors (callers typically map any error to
-/// [`ServiceCost::Failed`]).
-pub fn estimate_class_cycles(
-    plan: &StagePlan,
-    graph: &QueryGraph,
-    functional: &FunctionalRun,
-    base: &SimConfig,
-    key: &CostKey,
-) -> Result<u64> {
-    let mut cfg = base.clone();
-    cfg.mix = key.mix;
-    cfg.derate = key.derate();
-    let sim = Simulator::new(&cfg);
-    let mut scratch = SimScratch::new();
-    let outcome = sim.run_planned_traced(plan, functional, graph, &mut scratch, None)?;
-    Ok(outcome.cycles)
 }
 
 /// A thread-safe, bounded memo of [`ServiceCost`]s keyed by *query tag
@@ -1113,7 +1059,7 @@ mod tests {
         let functional = crate::exec::execute(&g, &cat).unwrap();
         let cache = ScheduleCache::new();
         let plans = PlanCache::new();
-        let baseline = Simulator::new(&base).run_profiled(&g, &functional).unwrap();
+        let baseline = Simulator::new(&base).run(&g, &cat).unwrap();
 
         // Hand-build a scenario: derate every tile kind and stall the
         // first stage.
@@ -1164,29 +1110,6 @@ mod tests {
             FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
         let err = run_resilient(&g, &functional, &base, &scenario, &cache, &plans, 0, None, None)
             .unwrap_err();
-        assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
-    }
-
-    #[test]
-    fn estimate_service_cycles_matches_baseline_and_types_unschedulable() {
-        let cat = catalog();
-        let g = graph();
-        let base = SimConfig::pareto();
-        let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
-        let plans = PlanCache::new();
-
-        let baseline = Simulator::new(&base).run_profiled(&g, &functional).unwrap();
-        let empty = FaultScenario::default();
-        let cycles =
-            estimate_service_cycles(&g, &functional, &base, &empty, &cache, &plans, 0).unwrap();
-        assert_eq!(cycles, baseline.cycles, "empty scenario must reproduce the baseline");
-
-        // A killed required kind surfaces as a typed error, never a panic.
-        let tight = SimConfig::new(TileMix::uniform(1));
-        let kill = FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-        let err =
-            estimate_service_cycles(&g, &functional, &tight, &kill, &cache, &plans, 0).unwrap_err();
         assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
     }
 
@@ -1341,7 +1264,7 @@ mod tests {
             let b = Bench::new(base);
             for seed in 0..48u64 {
                 let scenario = FaultScenario::generate(seed, 0.35, &b.base.mix);
-                let fresh = estimate_service_cycles(
+                let fresh = run_resilient(
                     &b.g,
                     &b.functional,
                     &b.base,
@@ -1349,14 +1272,21 @@ mod tests {
                     &b.cache,
                     &b.plans,
                     0,
-                );
+                    None,
+                    None,
+                )
+                .map(|r| r.outcome.cycles);
                 let class = b.classify(&scenario);
                 if class.feasible {
                     let plan = b.classifier.plan(&class.key.mix).expect("feasible class has plan");
-                    let cycles =
-                        estimate_class_cycles(&plan, &b.g, &b.functional, &b.base, &class.key)
-                            .unwrap()
-                            + class.stall_extra();
+                    let mut cfg = b.base.clone();
+                    cfg.mix = class.key.mix;
+                    cfg.derate = class.key.derate();
+                    let cycles = Simulator::new(&cfg)
+                        .run_planned(&plan, &b.functional, &b.g, &mut SimScratch::new())
+                        .unwrap()
+                        .cycles
+                        + class.stall_extra();
                     assert_eq!(
                         fresh.as_ref().copied().unwrap(),
                         cycles,

@@ -9,11 +9,25 @@ use q100_xrand::Rng;
 
 use q100_columnar::{Column, MemoryCatalog, Table, Value};
 use q100_core::{
-    check_feasible, execute, schedule, AggOp, AluOp, Bandwidth, CmpOp, CoreError, GraphProfile,
-    PortRef, QueryGraph, SchedulerKind, SimConfig, Simulator, TileKind, TileMix,
+    check_feasible, execute, schedule, AggOp, AluOp, Bandwidth, BlameRecorder, CmpOp, CoreError,
+    FunctionalRun, GraphProfile, PortRef, QueryGraph, SchedulerKind, SimConfig, SimScratch,
+    Simulator, StagePlan, TileKind, TileMix, TimingResult,
 };
 
 const CASES: u64 = 64;
+
+/// Times a compiled plan through [`Simulator::run_observed`] with an
+/// optional blame recorder, returning only the timing result.
+fn timed(
+    config: &SimConfig,
+    plan: &StagePlan,
+    run: &FunctionalRun,
+    g: &QueryGraph,
+    scratch: &mut SimScratch,
+    blame: Option<&mut BlameRecorder>,
+) -> TimingResult {
+    Simulator::new(config).run_observed(plan, run, g, scratch, None, blame).unwrap().timing
+}
 
 fn for_each_case(mut body: impl FnMut(&mut Rng)) {
     for case in 0..CASES {
@@ -339,8 +353,6 @@ fn bandwidth_is_monotone() {
 /// plan — cycles, per-link peaks, and memory statistics all match.
 #[test]
 fn quantum_jump_matches_pure_stepping_on_random_graphs() {
-    use std::sync::Arc;
-
     let mut compared = 0u64;
     let mut jumped_quanta = 0u64;
     for_each_case(|rng| {
@@ -358,13 +370,12 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
             return;
         }
         let config = SimConfig::new(mix);
-        let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
-        let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
-        let mut scratch = q100_core::SimScratch::new();
-        let jumped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let plan = Simulator::new(&config).plan(&g, &run.profile).unwrap();
+        let mut scratch = SimScratch::new();
+        let jumped = timed(&config, &plan, &run, &g, &mut scratch, None);
         jumped_quanta += scratch.jumped_quanta;
         scratch.jump_enabled = false;
-        let stepped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let stepped = timed(&config, &plan, &run, &g, &mut scratch, None);
         assert_eq!(jumped, stepped, "jumped and stepped timing must agree bit-for-bit");
         compared += 1;
     });
@@ -383,8 +394,6 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
 /// match the stepped ones entry for entry.
 #[test]
 fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
-    use std::sync::Arc;
-
     let mut compared = 0u64;
     let mut jumped_quanta = 0u64;
     for_each_case(|rng| {
@@ -420,34 +429,19 @@ fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
             });
         }
         config.derate = Some(derate);
-        let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
-        let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
+        let plan = Simulator::new(&config).plan(&g, &run.profile).unwrap();
 
-        let mut scratch = q100_core::SimScratch::new();
-        let jumped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let mut scratch = SimScratch::new();
+        let jumped = timed(&config, &plan, &run, &g, &mut scratch, None);
         jumped_quanta += scratch.jumped_quanta;
-        let mut jumped_rec = q100_core::BlameRecorder::new();
-        let jumped_blamed = q100_core::exec::simulate_plan_blamed(
-            &plan,
-            &config,
-            &mut scratch,
-            None,
-            Some(&mut jumped_rec),
-        )
-        .unwrap();
+        let mut jumped_rec = BlameRecorder::new();
+        let jumped_blamed = timed(&config, &plan, &run, &g, &mut scratch, Some(&mut jumped_rec));
         jumped_quanta += scratch.jumped_quanta;
 
         scratch.jump_enabled = false;
-        let stepped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
-        let mut stepped_rec = q100_core::BlameRecorder::new();
-        let stepped_blamed = q100_core::exec::simulate_plan_blamed(
-            &plan,
-            &config,
-            &mut scratch,
-            None,
-            Some(&mut stepped_rec),
-        )
-        .unwrap();
+        let stepped = timed(&config, &plan, &run, &g, &mut scratch, None);
+        let mut stepped_rec = BlameRecorder::new();
+        let stepped_blamed = timed(&config, &plan, &run, &g, &mut scratch, Some(&mut stepped_rec));
 
         assert_eq!(jumped, stepped, "derated jumped and stepped timing must agree bit-for-bit");
         assert_eq!(jumped_blamed, stepped_blamed, "blame must not perturb the derated jump");
@@ -468,8 +462,6 @@ fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
 /// the recorder never perturbs the timing result.
 #[test]
 fn blame_accounting_is_exhaustive_on_random_graphs() {
-    use std::sync::Arc;
-
     let mut checked = 0u64;
     for_each_case(|rng| {
         let g = random_graph(rng);
@@ -492,19 +484,11 @@ fn blame_accounting_is_exhaustive_on_random_graphs() {
                 mem_write_gbps: Some(cap),
             });
         }
-        let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
-        let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
-        let mut scratch = q100_core::SimScratch::new();
-        let plain = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
-        let mut rec = q100_core::BlameRecorder::new();
-        let blamed = q100_core::exec::simulate_plan_blamed(
-            &plan,
-            &config,
-            &mut scratch,
-            None,
-            Some(&mut rec),
-        )
-        .unwrap();
+        let plan = Simulator::new(&config).plan(&g, &run.profile).unwrap();
+        let mut scratch = SimScratch::new();
+        let plain = timed(&config, &plan, &run, &g, &mut scratch, None);
+        let mut rec = BlameRecorder::new();
+        let blamed = timed(&config, &plan, &run, &g, &mut scratch, Some(&mut rec));
         assert_eq!(plain, blamed, "blame recording must not perturb timing");
         let report = rec.report(&blamed, &config.mix);
         report.check_invariant().unwrap_or_else(|e| panic!("blame invariant violated: {e}"));

@@ -5,10 +5,10 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use q100_core::trace::{Registry, RingRecorder, TraceStream};
+use q100_core::trace::{BlameReport, Registry, RingRecorder, TraceSink, TraceStream};
 use q100_core::{
-    CacheStats, FunctionalRun, PlanCache, QueryGraph, ScheduleCache, SimConfig, SimOutcome,
-    SimScratch, Simulator, StagePlan,
+    BlameRecorder, CacheStats, FunctionalRun, PlanCache, QueryGraph, ScheduleCache, SimConfig,
+    SimOutcome, SimScratch, Simulator, StagePlan,
 };
 use q100_tpch::queries::{self, TpchQuery};
 use q100_tpch::TpchData;
@@ -175,23 +175,7 @@ impl Workload {
     /// configurations can).
     #[must_use]
     pub fn simulate(&self, prepared: &PreparedQuery, config: &SimConfig) -> SimOutcome {
-        let plan = self.plan(prepared, config);
-        let outcome = SCRATCH
-            .with(|s| {
-                let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned(
-                    &plan,
-                    &prepared.functional,
-                    &prepared.graph,
-                    &mut s,
-                );
-                self.record_jump_stats(&s);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
-        self.metrics.inc("sim.runs", 1);
-        self.metrics.observe("sim.cycles", outcome.cycles as f64);
-        outcome
+        self.run_observed(prepared, config, None, None)
     }
 
     /// Runs `prepared` under `config` with tracing enabled, returning
@@ -208,24 +192,8 @@ impl Workload {
         prepared: &PreparedQuery,
         config: &SimConfig,
     ) -> (SimOutcome, TraceStream) {
-        let plan = self.plan(prepared, config);
         let mut recorder = RingRecorder::new();
-        let outcome = SCRATCH
-            .with(|s| {
-                let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned_traced(
-                    &plan,
-                    &prepared.functional,
-                    &prepared.graph,
-                    &mut s,
-                    Some(&mut recorder),
-                );
-                self.record_jump_stats(&s);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
-        self.metrics.inc("sim.runs", 1);
-        self.metrics.observe("sim.cycles", outcome.cycles as f64);
+        let outcome = self.run_observed(prepared, config, Some(&mut recorder), None);
         if recorder.dropped() > 0 {
             eprintln!(
                 "warning: {} trace overflowed, {} oldest events dropped",
@@ -250,28 +218,46 @@ impl Workload {
         &self,
         prepared: &PreparedQuery,
         config: &SimConfig,
-    ) -> (SimOutcome, q100_core::trace::BlameReport) {
+    ) -> (SimOutcome, BlameReport) {
+        let mut recorder = BlameRecorder::new();
+        let outcome = self.run_observed(prepared, config, None, Some(&mut recorder));
+        let report = recorder.report(&outcome.timing, &config.mix);
+        (outcome, report)
+    }
+
+    /// Runs `prepared` under `config` on its memoized plan and this
+    /// worker's scratch, with the given observers attached, and books
+    /// the run and its quantum-jump counters into the metrics registry
+    /// (counter addition commutes, so the totals are identical at any
+    /// `--jobs`).
+    fn run_observed(
+        &self,
+        prepared: &PreparedQuery,
+        config: &SimConfig,
+        sink: Option<&mut (dyn TraceSink + '_)>,
+        blame: Option<&mut BlameRecorder>,
+    ) -> SimOutcome {
         let plan = self.plan(prepared, config);
-        let mut recorder = q100_core::BlameRecorder::new();
         let outcome = SCRATCH
             .with(|s| {
                 let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned_blamed(
+                let r = Simulator::new(config).run_observed(
                     &plan,
                     &prepared.functional,
                     &prepared.graph,
                     &mut s,
-                    None,
-                    Some(&mut recorder),
+                    sink,
+                    blame,
                 );
-                self.record_jump_stats(&s);
+                self.metrics.inc("sim.jumps", s.jumps);
+                self.metrics.inc("sim.jumped_quanta", s.jumped_quanta);
+                self.metrics.inc("sim.stepped_quanta", s.stepped_quanta);
                 r
             })
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
         self.metrics.inc("sim.runs", 1);
         self.metrics.observe("sim.cycles", outcome.cycles as f64);
-        let report = recorder.report(&outcome.timing, &config.mix);
-        (outcome, report)
+        outcome
     }
 
     /// Traces every query of the workload under `config`, serially (one
@@ -321,8 +307,12 @@ impl Workload {
     /// Panics if the configuration cannot run the query.
     #[must_use]
     pub fn simulate_uncached(&self, prepared: &PreparedQuery, config: &SimConfig) -> SimOutcome {
-        Simulator::new(config)
-            .run_profiled(&prepared.graph, &prepared.functional)
+        let sim = Simulator::new(config);
+        let mut scratch = SimScratch::new();
+        sim.plan(&prepared.graph, &prepared.functional.profile)
+            .and_then(|plan| {
+                sim.run_planned(&plan, &prepared.functional, &prepared.graph, &mut scratch)
+            })
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name))
     }
 
@@ -372,15 +362,6 @@ impl Workload {
     #[must_use]
     pub fn total_runtime_ms(&self, config: &SimConfig) -> f64 {
         self.simulate_all(config).iter().map(SimOutcome::runtime_ms).sum()
-    }
-
-    /// Folds one finished simulation's quantum-jump counters into the
-    /// metrics registry. Counter addition commutes, so the accumulated
-    /// totals are identical at any `--jobs`.
-    fn record_jump_stats(&self, s: &SimScratch) {
-        self.metrics.inc("sim.jumps", s.jumps);
-        self.metrics.inc("sim.jumped_quanta", s.jumped_quanta);
-        self.metrics.inc("sim.stepped_quanta", s.stepped_quanta);
     }
 
     /// Quantum-jump totals accumulated by every simulation this

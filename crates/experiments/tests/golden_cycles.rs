@@ -4,10 +4,7 @@
 //! here as an exact diff, and the quantum-jump fast path is checked
 //! bit-for-bit against pure stepping on the same compiled plans.
 
-use std::sync::Arc;
-
-use q100_core::exec::simulate_plan;
-use q100_core::{schedule, SimScratch, StagePlan};
+use q100_core::{SimScratch, Simulator};
 use q100_experiments::{paper_designs, Workload};
 
 /// The pinned scale factor (matches `perf_report::PINNED_SCALE`).
@@ -116,21 +113,18 @@ fn quantum_jump_is_bit_identical_on_tpch() {
     for prepared in &w.queries {
         for (design, capped) in paper_designs() {
             let config = q100_core::SimConfig::new(capped.mix);
-            let sched = schedule(
-                config.scheduler,
-                &prepared.graph,
-                &config.mix,
-                &prepared.functional.profile,
-            )
-            .unwrap();
-            let plan =
-                StagePlan::compile(&prepared.graph, Arc::new(sched), &prepared.functional.profile)
-                    .unwrap();
+            let sim = Simulator::new(&config);
+            let plan = sim.plan(&prepared.graph, &prepared.functional.profile).unwrap();
             let mut scratch = SimScratch::new();
-            let jumped = simulate_plan(&plan, &config, &mut scratch).unwrap();
+            let timed = |scratch: &mut SimScratch| {
+                sim.run_planned(&plan, &prepared.functional, &prepared.graph, scratch)
+                    .unwrap()
+                    .timing
+            };
+            let jumped = timed(&mut scratch);
             jumped_quanta += scratch.jumped_quanta;
             scratch.jump_enabled = false;
-            let stepped = simulate_plan(&plan, &config, &mut scratch).unwrap();
+            let stepped = timed(&mut scratch);
             assert_eq!(jumped, stepped, "{design}/{}", prepared.query.name);
         }
     }

@@ -1,9 +1,9 @@
 //! The served device: a Q100 design plus the query table it serves.
 
 use q100_core::{
-    estimate_class_cycles, estimate_service_cycles, CostKey, FaultScenario, FunctionalRun,
-    PlanCache, QueryGraph, Result, ScenarioClassifier, ScheduleCache, ServiceCost,
-    ServiceCostCache, SimConfig, FREQUENCY_MHZ,
+    run_resilient, CostKey, FaultScenario, FunctionalRun, PlanCache, QueryGraph, Result,
+    ScenarioClassifier, ScheduleCache, ServiceCost, ServiceCostCache, SimConfig, SimScratch,
+    Simulator, FREQUENCY_MHZ,
 };
 use q100_dbms::SoftwareCost;
 
@@ -67,7 +67,7 @@ impl<'w> Q100Device<'w> {
         let empty = FaultScenario { faults: Vec::new() };
         let mut baseline_cycles = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
-            baseline_cycles.push(estimate_service_cycles(
+            let run = run_resilient(
                 q.graph,
                 q.functional,
                 &config,
@@ -75,7 +75,10 @@ impl<'w> Q100Device<'w> {
                 &sched_cache,
                 &plans,
                 tag as u64,
-            )?);
+                None,
+                None,
+            )?;
+            baseline_cycles.push(run.outcome.cycles);
         }
         // Seed the cost cache with the canonical healthy class of every
         // query: scenarios whose faults are invisible to the simulator
@@ -127,7 +130,7 @@ impl<'w> Q100Device<'w> {
             return Ok(self.baseline_cycles[query]);
         }
         let q = &self.queries[query];
-        estimate_service_cycles(
+        run_resilient(
             q.graph,
             q.functional,
             &self.config,
@@ -135,7 +138,10 @@ impl<'w> Q100Device<'w> {
             &self.sched_cache,
             &self.plans,
             query as u64,
+            None,
+            None,
         )
+        .map(|r| r.outcome.cycles)
     }
 
     /// Canonicalizes `scenario` against `query` without simulating: the
@@ -166,18 +172,23 @@ impl<'w> Q100Device<'w> {
         CostProbe { key: class.key, stall_extra: class.stall_extra(), known }
     }
 
-    /// Simulates the cost of one canonical class (a cost-cache miss).
-    /// Pure in `(query, key)` and safe to call from worker threads.
+    /// Simulates the cost of one canonical class (a cost-cache miss):
+    /// the device config with the key's mix and derate swapped in, run
+    /// on the classifier's canonical-mix plan. Stall cycles are not part
+    /// of a key (see [`CostProbe::stall_extra`]). Pure in `(query, key)`
+    /// and safe to call from worker threads.
     #[must_use]
     pub fn class_cost(&self, query: usize, key: &CostKey) -> ServiceCost {
         let Some(plan) = self.classifiers[query].plan(&key.mix) else {
             return ServiceCost::Failed;
         };
         let q = &self.queries[query];
-        match estimate_class_cycles(&plan, q.graph, q.functional, &self.config, key) {
-            Ok(cycles) => ServiceCost::Cycles(cycles),
-            Err(_) => ServiceCost::Failed,
-        }
+        let mut config = self.config.clone();
+        config.mix = key.mix;
+        config.derate = key.derate();
+        Simulator::new(&config)
+            .run_planned(&plan, q.functional, q.graph, &mut SimScratch::new())
+            .map_or(ServiceCost::Failed, |outcome| ServiceCost::Cycles(outcome.cycles))
     }
 
     /// The scenario-keyed service-cost cache (tags are query indices).

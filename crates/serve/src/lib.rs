@@ -11,7 +11,7 @@
 //!   arrival stream ([`q100_xrand`]-driven, per-tenant rates, deadlines
 //!   and query mixes);
 //! * [`Q100Device`] — a Q100 design wrapped behind a fallible
-//!   cycle-estimate interface ([`q100_core::estimate_service_cycles`])
+//!   cycle-estimate interface ([`q100_core::run_resilient`])
 //!   with its own bounded [`ScheduleCache`](q100_core::ScheduleCache) /
 //!   [`PlanCache`](q100_core::PlanCache) and memoized fault-free
 //!   baselines;

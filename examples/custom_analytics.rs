@@ -9,7 +9,10 @@
 
 use q100::columnar::{Column, MemoryCatalog, Table, Value};
 use q100::core::trace::{RingRecorder, TraceEvent};
-use q100::core::{AggOp, Bandwidth, CmpOp, QueryGraph, SimConfig, Simulator, MEMORY_ENDPOINT};
+use q100::core::{
+    execute_lean, AggOp, Bandwidth, CmpOp, QueryGraph, SimConfig, SimScratch, Simulator,
+    MEMORY_ENDPOINT,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // pages(page_id, category), views(page_id, latency_ms, country)
@@ -67,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _out = b.append_all(&partials);
     let graph: QueryGraph = b.finish()?;
 
-    // Run under generous and starved memory bandwidth.
+    // Run under generous and starved memory bandwidth. The functional
+    // run is shared: only scheduling and timing depend on the design.
+    let functional = execute_lean(&graph, &catalog)?;
     for (label, bandwidth) in [
         ("ideal bandwidth", Bandwidth::ideal()),
         (
@@ -83,7 +88,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The trace recorder captures per-link bandwidth peaks as they
         // are set, so the hottest NoC links can be named afterwards.
         let mut recorder = RingRecorder::new();
-        let outcome = Simulator::new(&config).run_traced(&graph, &catalog, Some(&mut recorder))?;
+        let sim = Simulator::new(&config);
+        let plan = sim.plan(&graph, &functional.profile)?;
+        let outcome = sim.run_observed(
+            &plan,
+            &functional,
+            &graph,
+            &mut SimScratch::new(),
+            Some(&mut recorder),
+            None,
+        )?;
         println!(
             "{label}: {:.3} ms, {:.4} mJ, peak memory read {:.1} GB/s",
             outcome.runtime_ms(),
@@ -114,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let from_mem: f64 =
                 (0..q100::core::ENDPOINTS).map(|d| conns.get(MEMORY_ENDPOINT, d)).sum();
             println!("  memory feeds {from_mem} tile inputs across the schedule");
-            println!("\nslow US views by category:\n{}", outcome.result_table(&graph)?.render(12));
+            println!("\nslow US views by category:\n{}", outcome.result_table()?.render(12));
         }
     }
     Ok(())

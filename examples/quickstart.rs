@@ -10,7 +10,9 @@
 
 use q100::columnar::{date_to_days, Column, MemoryCatalog, Table, Value};
 use q100::core::trace::{RingRecorder, TraceEvent};
-use q100::core::{AggOp, CmpOp, QueryGraph, SimConfig, Simulator, TileKind, TileMix};
+use q100::core::{
+    execute_lean, AggOp, CmpOp, QueryGraph, SimConfig, SimScratch, Simulator, TileKind, TileMix,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small SALES table: season (1..=4), quantity, ship date.
@@ -64,12 +66,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_count(TileKind::BoolGen, 2)
         .with_count(TileKind::Aggregator, 2)
         .with_count(TileKind::Append, 2);
-    // Attach a trace recorder so the timing simulator's structured
-    // events (tinst begin/end, per-quantum tile occupancy, memory
-    // samples) are captured alongside the aggregate outcome.
+    // Run the query functionally, schedule and compile it, then time
+    // it with a trace recorder attached so the timing simulator's
+    // structured events (tinst begin/end, per-quantum tile occupancy,
+    // memory samples) are captured alongside the aggregate outcome.
+    let config = SimConfig::new(mix);
+    let sim = Simulator::new(&config);
+    let functional = execute_lean(&graph, &catalog)?;
+    let plan = sim.plan(&graph, &functional.profile)?;
     let mut recorder = RingRecorder::new();
-    let outcome =
-        Simulator::new(&SimConfig::new(mix)).run_traced(&graph, &catalog, Some(&mut recorder))?;
+    let outcome = sim.run_observed(
+        &plan,
+        &functional,
+        &graph,
+        &mut SimScratch::new(),
+        Some(&mut recorder),
+        None,
+    )?;
 
     println!("schedule: {}", outcome.schedule);
     for (i, tinst) in outcome.schedule.tinsts.iter().enumerate() {
@@ -99,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recorder.dropped()
     );
 
-    let result = outcome.result_table(&graph)?;
+    let result = outcome.result_table()?;
     println!("\nFinalAns (per-season quantity totals):\n{}", result.render(10));
 
     println!("{}", outcome.render_report(&graph));
