@@ -25,6 +25,7 @@ use q100_columnar::Table;
 
 use crate::config::SimConfig;
 use crate::error::Result;
+use crate::exec::plan::MemoKey;
 use crate::isa::graph::QueryGraph;
 use crate::power;
 use crate::sched::{self, Schedule};
@@ -228,6 +229,13 @@ impl<'a> Simulator<'a> {
     /// recording blame (jumped segments bulk-fold their per-quantum
     /// blame), and only a sink forces pure stepping.
     ///
+    /// A run with no observer and no derate is served from the plan's
+    /// memo when the plan was already timed under the same bandwidth
+    /// caps, point-to-point links and jump mode: the configuration is
+    /// still validated, and `scratch`'s run counters are set to those of
+    /// the memoized run. Every other run simulates, and a fault-free,
+    /// unobserved one is memoized.
+    ///
     /// # Errors
     ///
     /// As [`run_planned`](Self::run_planned).
@@ -240,7 +248,24 @@ impl<'a> Simulator<'a> {
         sink: Option<&mut (dyn TraceSink + '_)>,
         blame: Option<&mut BlameRecorder>,
     ) -> Result<SimOutcome> {
-        let timing = timing::simulate_plan(plan, self.config, scratch, sink, blame)?;
+        let memo_key = match (&sink, &blame) {
+            (None, None) => MemoKey::of(self.config, scratch),
+            _ => None,
+        };
+        let timing = match memo_key {
+            Some(key) => match plan.memo.get(&key) {
+                Some(run) => {
+                    self.config.validate()?;
+                    run.restore(scratch)
+                }
+                None => {
+                    let timing = timing::simulate_plan(plan, self.config, scratch, None, None)?;
+                    plan.memo.insert(key, &timing, scratch);
+                    timing
+                }
+            },
+            None => timing::simulate_plan(plan, self.config, scratch, sink, blame)?,
+        };
         Ok(SimOutcome {
             cycles: timing.cycles,
             results: functional.results(graph),
@@ -459,6 +484,166 @@ mod tests {
         // the per-figure `schedule cache:` stdout line became
         // timing-dependent.)
         assert_eq!(sched_cache.stats(), CacheStats { hits: 0, misses: 1 });
+    }
+
+    /// Times `plan` under `config` on a fresh scratch with jumps on or
+    /// off, returning the timing and the scratch's three run counters.
+    fn timed(
+        config: &SimConfig,
+        plan: &StagePlan,
+        g: &QueryGraph,
+        functional: &FunctionalRun,
+        jump: bool,
+    ) -> (TimingResult, [u64; 3]) {
+        let mut scratch = SimScratch::new();
+        scratch.jump_enabled = jump;
+        let out = Simulator::new(config).run_planned(plan, functional, g, &mut scratch).unwrap();
+        (out.timing, [scratch.jumps, scratch.jumped_quanta, scratch.stepped_quanta])
+    }
+
+    #[test]
+    fn memoized_run_matches_fresh_simulation_per_jump_mode() {
+        let (g, cat) = fixture();
+        let functional = functional::execute_lean(&g, &cat).unwrap();
+        let config = SimConfig::new(TileMix::uniform(1));
+        let sim = Simulator::new(&config);
+        let plan = sim.plan(&g, &functional.profile).unwrap();
+        for jump in [true, false] {
+            let fresh_plan = sim.plan(&g, &functional.profile).unwrap();
+            let fresh = timed(&config, &fresh_plan, &g, &functional, jump);
+            let first = timed(&config, &plan, &g, &functional, jump);
+            let reused = timed(&config, &plan, &g, &functional, jump);
+            assert_eq!(first, fresh);
+            assert_eq!(reused, fresh, "a memoized result must equal a fresh simulation");
+        }
+        // One entry per jump mode: a stepped run is never served the
+        // jumped run's counters, nor the other way round.
+        assert_eq!(plan.memo.len(), 2);
+        let (_, jumped) = timed(&config, &plan, &g, &functional, true);
+        let (_, stepped) = timed(&config, &plan, &g, &functional, false);
+        assert!(jumped[0] > 0, "the fixture must engage the quantum-jump fast path");
+        assert_eq!(stepped[..2], [0, 0]);
+        assert_eq!(stepped[2], jumped[1] + jumped[2]);
+
+        // Distinct bandwidth caps are distinct keys, up to the cap.
+        for i in 0..80 {
+            let capped = config.clone().with_bandwidth(crate::config::Bandwidth {
+                noc_gbps: Some(1.0 + f64::from(i)),
+                ..crate::config::Bandwidth::ideal()
+            });
+            let _ = timed(&capped, &plan, &g, &functional, true);
+        }
+        assert_eq!(plan.memo.len(), 64);
+    }
+
+    #[test]
+    fn observed_and_derated_runs_bypass_the_memo() {
+        use q100_trace::RingRecorder;
+
+        let (g, cat) = fixture();
+        let functional = functional::execute_lean(&g, &cat).unwrap();
+        let config = SimConfig::new(TileMix::uniform(1));
+        let sim = Simulator::new(&config);
+        let plan = sim.plan(&g, &functional.profile).unwrap();
+        let mut scratch = SimScratch::new();
+        let mut observed = |sink: Option<&mut (dyn TraceSink + '_)>,
+                            blame: Option<&mut BlameRecorder>| {
+            sim.run_observed(&plan, &functional, &g, &mut scratch, sink, blame).unwrap()
+        };
+
+        // Observed runs neither fill the memo...
+        let mut first = RingRecorder::new();
+        let cycles = observed(Some(&mut first), None).cycles;
+        let mut recorder = BlameRecorder::new();
+        let out = observed(None, Some(&mut recorder));
+        assert_eq!(out.cycles, cycles);
+        let ledger = recorder.report(&out.timing, &config.mix);
+        assert_eq!(plan.memo.len(), 0);
+        // ...nor read it once it holds this key: the sink still
+        // receives the full event stream and the recorder the full
+        // ledger on a repeated call.
+        assert_eq!(observed(None, None).cycles, cycles);
+        assert_eq!(plan.memo.len(), 1);
+        let mut again = RingRecorder::new();
+        assert_eq!(observed(Some(&mut again), None).cycles, cycles);
+        assert!(!again.events().is_empty());
+        assert_eq!(again.events(), first.events());
+        let mut recorder = BlameRecorder::new();
+        let out = observed(None, Some(&mut recorder));
+        let ledger_again = recorder.report(&out.timing, &config.mix);
+        assert!(!ledger_again.nodes.is_empty());
+        ledger_again.check_invariant().unwrap();
+        assert_eq!(ledger_again.nodes, ledger.nodes);
+        assert_eq!(plan.memo.len(), 1);
+
+        // A derated config (even one derating nothing) always simulates.
+        let mut derated = config.clone();
+        derated.derate = Some(crate::resilience::Derate::none());
+        let out =
+            Simulator::new(&derated).run_planned(&plan, &functional, &g, &mut scratch).unwrap();
+        assert_eq!(out.cycles, cycles);
+        assert_eq!(plan.memo.len(), 1);
+    }
+
+    #[test]
+    fn invalid_config_errors_even_when_memoized() {
+        let (g, cat) = fixture();
+        let functional = functional::execute_lean(&g, &cat).unwrap();
+        let config = SimConfig::new(TileMix::uniform(1));
+        let plan = Simulator::new(&config).plan(&g, &functional.profile).unwrap();
+        let _ = timed(&config, &plan, &g, &functional, true);
+        assert_eq!(plan.memo.len(), 1);
+        // Same caps, links and jump mode, so the same memo key.
+        let mut invalid = config.clone();
+        invalid.read_buffers = 0;
+        let run =
+            Simulator::new(&invalid).run_planned(&plan, &functional, &g, &mut SimScratch::new());
+        assert!(matches!(run, Err(crate::error::CoreError::BadConfig(_))));
+    }
+
+    #[test]
+    fn plan_cache_shares_plans_between_equal_schedules() {
+        use crate::config::SchedulerKind;
+        use crate::sched::{CacheStats, ScheduleCache};
+
+        // Two filters in a row: one of each tile kind runs them in two
+        // stages, more tiles in one.
+        let (_, cat) = fixture();
+        let mut b = QueryGraph::builder("two-filters");
+        let x = b.col_select_base("t", "x");
+        let lt = b.bool_gen_const(x, CmpOp::Lt, Value::Int(100));
+        let small = b.col_filter(x, lt);
+        let gt = b.bool_gen_const(small, CmpOp::Gt, Value::Int(10));
+        let _ = b.col_filter(small, gt);
+        let g = b.finish().unwrap();
+        let functional = functional::execute(&g, &cat).unwrap();
+        let sched_cache = ScheduleCache::new();
+        let plans = PlanCache::new();
+        let plan = |mix: TileMix| {
+            plans
+                .get_or_compile(
+                    0,
+                    SchedulerKind::DataAware,
+                    &g,
+                    &mix,
+                    &functional.profile,
+                    &sched_cache,
+                )
+                .unwrap()
+        };
+        let (wide, wider, tight) =
+            (plan(TileMix::uniform(4)), plan(TileMix::uniform(8)), plan(TileMix::uniform(1)));
+        assert_eq!(wide.schedule(), wider.schedule());
+        assert!(Arc::ptr_eq(&wide, &wider), "equal schedules must share one plan");
+        assert_ne!(wide.schedule(), tight.schedule());
+        assert!(!Arc::ptr_eq(&wide, &tight));
+        // Sharing leaves the per-key counters alone: three keys, three
+        // misses, and a revisit is a hit.
+        assert_eq!(plans.stats(), CacheStats { hits: 0, misses: 3 });
+        assert_eq!(plans.len(), 3);
+        assert!(Arc::ptr_eq(&plan(TileMix::uniform(8)), &wide));
+        assert_eq!(plans.stats(), CacheStats { hits: 1, misses: 3 });
+        assert_eq!(sched_cache.stats(), CacheStats { hits: 0, misses: 3 });
     }
 
     #[test]

@@ -17,14 +17,20 @@
 //! vector indexed by stream id instead of nested `SimNode` structs,
 //! which is what lets the hot quantum loop run allocation-free.
 //!
-//! [`SimConfig`]: crate::config::SimConfig
+//! A plan also memoizes its fault-free timing results (`TimingMemo`),
+//! and a [`PlanCache`] hands every key that schedules a query the same
+//! way the same plan, so a sweep simulates each distinct (query,
+//! schedule, bandwidth) point once.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::config::{SchedulerKind, TileMix};
+use crate::config::{SchedulerKind, SimConfig, TileMix};
 use crate::error::{CoreError, Result};
 use crate::exec::functional::GraphProfile;
-use crate::exec::timing::{consume_mode, ConnMatrix, ConsumeMode, MEMORY_ENDPOINT};
+use crate::exec::timing::{
+    consume_mode, jump_enabled, ConnMatrix, ConsumeMode, TimingResult, MEMORY_ENDPOINT,
+};
 use crate::isa::graph::{NodeId, PortRef, QueryGraph, SpatialOp};
 use crate::sched::{CacheStats, Schedule, ScheduleCache};
 use crate::tiles::TileKind;
@@ -106,8 +112,8 @@ pub(crate) struct StageTopo {
 /// A compiled, immutable per-(query, schedule) simulation artifact.
 ///
 /// Built once by [`StagePlan::compile`] and shared (e.g. behind an
-/// `Arc` in [`crate::sched::PlanCache`]) across every configuration of
-/// a sweep; see the module docs for what it captures.
+/// `Arc` in [`PlanCache`]) across every configuration of a sweep; see
+/// the module docs for what it captures.
 #[derive(Debug, Clone)]
 pub struct StagePlan {
     /// The schedule this plan was compiled from, shared with every
@@ -123,6 +129,8 @@ pub struct StagePlan {
     pub(crate) max_streams: usize,
     /// Max node count over stages.
     pub(crate) max_nodes: usize,
+    /// Fault-free timing results already simulated from this plan.
+    pub(crate) memo: TimingMemo,
 }
 
 impl StagePlan {
@@ -347,6 +355,7 @@ impl StagePlan {
             max_streams,
             max_nodes,
             schedule,
+            memo: TimingMemo::default(),
         })
     }
 
@@ -411,6 +420,111 @@ impl StagePlan {
     }
 }
 
+/// Most timing results one [`StagePlan`] memoizes; later distinct
+/// configurations simulate without being stored.
+const MEMO_CAPACITY: usize = 64;
+
+/// Everything a fault-free simulation of a fixed plan reads from its
+/// configuration and scratch: the three bandwidth caps (bit patterns),
+/// the point-to-point links, and whether the quantum-jump fast path may
+/// engage (a stepped run reports different jump counters than a jumped
+/// one, so the two never share an entry).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MemoKey {
+    caps: [Option<u64>; 3],
+    p2p_links: Vec<(TileKind, TileKind)>,
+    jump: bool,
+}
+
+impl MemoKey {
+    /// The key of simulating `config` on `scratch`, or `None` for a
+    /// derated config (fault-injected runs are never memoized).
+    pub(crate) fn of(config: &SimConfig, scratch: &SimScratch) -> Option<MemoKey> {
+        if config.derate.is_some() {
+            return None;
+        }
+        let bw = &config.bandwidth;
+        let bits = |cap: Option<f64>| cap.map(f64::to_bits);
+        Some(MemoKey {
+            caps: [bits(bw.noc_gbps), bits(bw.mem_read_gbps), bits(bw.mem_write_gbps)],
+            p2p_links: config.p2p_links.clone(),
+            jump: scratch.jump_enabled && jump_enabled(),
+        })
+    }
+}
+
+/// One memoized simulation: its result and the run counters it left in
+/// its scratch.
+#[derive(Debug, Clone)]
+pub(crate) struct MemoRun {
+    timing: TimingResult,
+    jumps: u64,
+    jumped_quanta: u64,
+    stepped_quanta: u64,
+}
+
+impl MemoRun {
+    /// The stored result, with its run counters copied into `scratch`
+    /// as if the simulation had just run there.
+    pub(crate) fn restore(self, scratch: &mut SimScratch) -> TimingResult {
+        scratch.jumps = self.jumps;
+        scratch.jumped_quanta = self.jumped_quanta;
+        scratch.stepped_quanta = self.stepped_quanta;
+        self.timing
+    }
+}
+
+/// A plan's memo of fault-free timing results, keyed by [`MemoKey`].
+///
+/// Shared by every sweep worker holding the plan; inserting a key that
+/// is already present keeps the first entry, and at most
+/// [`MEMO_CAPACITY`] entries are kept.
+#[derive(Debug, Default)]
+pub(crate) struct TimingMemo(Mutex<Vec<(MemoKey, MemoRun)>>);
+
+impl Clone for TimingMemo {
+    fn clone(&self) -> Self {
+        TimingMemo(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl TimingMemo {
+    fn entries(&self) -> MutexGuard<'_, Vec<(MemoKey, MemoRun)>> {
+        // Entries are pushed whole, so a poisoned lock still guards a
+        // consistent vector.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of memoized runs.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// The run memoized under `key`, if any.
+    pub(crate) fn get(&self, key: &MemoKey) -> Option<MemoRun> {
+        self.entries().iter().find(|(k, _)| k == key).map(|(_, run)| run.clone())
+    }
+
+    /// Stores `timing` and `scratch`'s run counters under `key`, unless
+    /// the key is already present or the memo is full.
+    pub(crate) fn insert(&self, key: MemoKey, timing: &TimingResult, scratch: &SimScratch) {
+        let mut entries = self.entries();
+        if entries.len() >= MEMO_CAPACITY || entries.iter().any(|(k, _)| *k == key) {
+            return;
+        }
+        entries.push((
+            key,
+            MemoRun {
+                timing: timing.clone(),
+                jumps: scratch.jumps,
+                jumped_quanta: scratch.jumped_quanta,
+                stepped_quanta: scratch.stepped_quanta,
+            },
+        ));
+    }
+}
+
 /// Caller-owned mutable state of a plan-driven simulation.
 ///
 /// Holds every per-run vector the quantum loop touches — stream
@@ -419,10 +533,19 @@ impl StagePlan {
 /// simulations, so the hot path never allocates. One scratch serves any
 /// number of sequential runs over any plans (it regrows to the largest
 /// seen); sweeps keep one per worker.
+///
+/// The public run counters describe the simulation whose result the
+/// last call returned. When that result came from a plan's memo of
+/// fault-free runs, they are the counters the memoized run left, so
+/// they read the same whether or not the kernel ran again.
 #[derive(Debug)]
 pub struct SimScratch {
     /// Progress (records done) per stream id.
     pub(crate) done: Vec<f64>,
+    /// Largest advance (records) of each stream in any one quantum of
+    /// the current stage, turned into link peak bandwidth when the
+    /// stage ends.
+    pub(crate) peak: Vec<f64>,
     /// Pass-1 desired advance per node.
     pub(crate) desired: Vec<f64>,
     /// `out_available` per output stream id, shared within a pass.
@@ -464,6 +587,7 @@ impl Default for SimScratch {
     fn default() -> Self {
         Self {
             done: Vec::new(),
+            peak: Vec::new(),
             desired: Vec::new(),
             allowed: Vec::new(),
             deltas: Vec::new(),
@@ -493,6 +617,7 @@ impl SimScratch {
         let s = plan.max_streams;
         if self.done.len() < s {
             self.done.resize(s, 0.0);
+            self.peak.resize(s, 0.0);
             self.allowed.resize(s, 0.0);
             self.deltas.resize(s, 0.0);
             self.noc_in.resize(s, 0.0);
@@ -511,6 +636,23 @@ impl SimScratch {
     }
 }
 
+/// A [`PlanCache`] lookup key: query tag, scheduler, tile mix.
+type PlanKey = (u64, SchedulerKind, TileMix);
+
+/// A key of a [`PlanCache`]'s plans by schedule: query tag, scheduler,
+/// schedule contents.
+type ScheduleKey = (u64, SchedulerKind, Arc<Schedule>);
+
+/// One entry of a [`PlanCache`]'s per-key map.
+#[derive(Debug)]
+enum PlanSlot {
+    /// A compiled, resident plan.
+    Ready(Arc<StagePlan>),
+    /// The first caller is compiling this key right now; wait on
+    /// [`PlanCache::compiled`] instead of compiling it again.
+    Pending,
+}
+
 /// A thread-safe memo of compiled plans keyed by *query tag ×
 /// scheduler × tile mix* — the plan-layer twin of
 /// [`ScheduleCache`].
@@ -521,8 +663,11 @@ impl SimScratch {
 /// profile) pair a stable `tag`. On a miss, [`PlanCache::get_or_compile`]
 /// first resolves the schedule through the supplied [`ScheduleCache`]
 /// (keeping the schedule memo warm for callers that still want bare
-/// schedules) and then compiles the topology once; every subsequent
-/// configuration of a sweep reuses the compiled artifact.
+/// schedules), then looks the schedule's contents up under `(tag,
+/// scheduler)`: mixes that schedule the query identically share one
+/// compiled plan — and with it the plan's memo of fault-free timing
+/// results — and only a schedule seen for the first time is compiled.
+/// Every subsequent configuration of a sweep reuses the artifact.
 ///
 /// Compilation runs outside the map lock, so concurrent sweep workers
 /// never serialize on it. First sight of a key is *single-flight*: late
@@ -542,17 +687,11 @@ impl SimScratch {
 /// recompilation) and bumps the eviction counter plus the
 /// `cache.evictions` registry metric.
 #[derive(Debug)]
-enum PlanSlot {
-    /// A compiled, resident plan.
-    Ready(Arc<StagePlan>),
-    /// The first caller is compiling this key right now; wait on
-    /// [`PlanCache::compiled`] instead of compiling it again.
-    Pending,
-}
-
-#[derive(Debug)]
 pub struct PlanCache {
-    map: std::sync::Mutex<std::collections::HashMap<(u64, SchedulerKind, TileMix), PlanSlot>>,
+    map: Mutex<HashMap<PlanKey, PlanSlot>>,
+    /// Compiled plans by schedule contents, shared by every key whose
+    /// mix schedules the query the same way; bounded by `capacity`.
+    by_schedule: Mutex<HashMap<ScheduleKey, Arc<StagePlan>>>,
     /// Notified whenever a pending slot resolves (ready or failed).
     compiled: std::sync::Condvar,
     /// Successful lookups since the last reset (call count, which is
@@ -572,7 +711,8 @@ pub struct PlanCache {
 impl Default for PlanCache {
     fn default() -> Self {
         PlanCache {
-            map: std::sync::Mutex::default(),
+            map: Mutex::default(),
+            by_schedule: Mutex::default(),
             compiled: std::sync::Condvar::new(),
             lookups: std::sync::atomic::AtomicU64::new(0),
             base_len: std::sync::atomic::AtomicU64::new(0),
@@ -662,7 +802,7 @@ impl PlanCache {
         let guard = PendingGuard { cache: self, key };
         let result = sched_cache
             .get_or_schedule(tag, kind, graph, mix, profile)
-            .and_then(|schedule| StagePlan::compile(graph, schedule, profile).map(Arc::new));
+            .and_then(|schedule| self.shared_plan(tag, kind, graph, schedule, profile));
         let mut map = self.map.lock().unwrap();
         match result {
             Ok(fresh) => {
@@ -695,10 +835,34 @@ impl PlanCache {
         }
     }
 
+    /// The plan compiled from `schedule` for `(tag, kind)`, compiling
+    /// it only if no other key produced the same schedule. Two keys that
+    /// race on one fresh schedule may both compile, but the second
+    /// adopts the first's plan, so their memos stay shared.
+    fn shared_plan(
+        &self,
+        tag: u64,
+        kind: SchedulerKind,
+        graph: &QueryGraph,
+        schedule: Arc<Schedule>,
+        profile: &GraphProfile,
+    ) -> Result<Arc<StagePlan>> {
+        let key = (tag, kind, schedule);
+        if let Some(plan) = self.by_schedule.lock().unwrap().get(&key) {
+            return Ok(Arc::clone(plan));
+        }
+        let fresh = Arc::new(StagePlan::compile(graph, Arc::clone(&key.2), profile)?);
+        let mut shared = self.by_schedule.lock().unwrap();
+        if !shared.contains_key(&key) && shared.len() >= self.capacity {
+            if let Some(victim) = shared.keys().next().cloned() {
+                shared.remove(&victim);
+            }
+        }
+        Ok(Arc::clone(shared.entry(key).or_insert(fresh)))
+    }
+
     /// Resident (compiled) plans in `map`, ignoring pending slots.
-    fn ready_len(
-        map: &std::collections::HashMap<(u64, SchedulerKind, TileMix), PlanSlot>,
-    ) -> usize {
+    fn ready_len(map: &HashMap<PlanKey, PlanSlot>) -> usize {
         map.values().filter(|slot| matches!(slot, PlanSlot::Ready(_))).count()
     }
 
@@ -761,6 +925,7 @@ impl PlanCache {
     pub fn clear(&self) {
         use std::sync::atomic::Ordering;
         self.map.lock().unwrap().clear();
+        self.by_schedule.lock().unwrap().clear();
         self.base_len.store(0, Ordering::Relaxed);
         self.lookups.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
@@ -789,7 +954,7 @@ impl PlanCache {
 /// after resolving the slot themselves.
 struct PendingGuard<'a> {
     cache: &'a PlanCache,
-    key: (u64, SchedulerKind, TileMix),
+    key: PlanKey,
 }
 
 impl Drop for PendingGuard<'_> {

@@ -432,10 +432,9 @@ fn run_stage(
 
     {
         // Per-(stage, run) reset and hoisted per-node/per-stream rates.
-        let SimScratch { done, adv0, noc_in, noc_out, out_capped, .. } = &mut *scratch;
-        for d in done[..streams].iter_mut() {
-            *d = 0.0;
-        }
+        let SimScratch { done, peak, adv0, noc_in, noc_out, out_capped, .. } = &mut *scratch;
+        done[..streams].fill(0.0);
+        peak[..streams].fill(0.0);
         for (idx, node) in topo.nodes.iter().enumerate() {
             let dst = node.kind as usize;
             adv0[idx] = dt * derate.map_or(1.0, |d| d.tile_factor[dst]);
@@ -502,6 +501,7 @@ fn run_stage(
         let stepped = {
             let SimScratch {
                 done,
+                peak,
                 desired,
                 allowed,
                 deltas,
@@ -520,6 +520,7 @@ fn run_stage(
                 read_bpc,
                 write_bpc,
                 done,
+                peak,
                 desired,
                 allowed,
                 deltas,
@@ -627,7 +628,46 @@ fn run_stage(
             }
         }
     }
+    record_link_peaks(topo, dt, &scratch.peak, result);
     Ok(cycles.round() as u64)
+}
+
+/// Merges a finished stage's per-stream peak advances into
+/// `result.peak_gbps`, one link cell per stream endpoint pair.
+///
+/// Converting once per stage is bit-identical to converting every
+/// quantum: `records ↦ bytes_per_cycle_to_gbps(records · width / dt)`
+/// is a chain of correctly rounded multiplications and divisions by
+/// non-negative constants, so it never decreases, and the peak of the
+/// converted advances equals the converted peak advance.
+fn record_link_peaks(topo: &StageTopo, dt: f64, peak: &[f64], result: &mut TimingResult) {
+    let gbps = |records: f64, width: f64| bytes_per_cycle_to_gbps(records * width / dt);
+    for node in &topo.nodes {
+        let kind = node.kind as usize;
+        for input in &node.inputs {
+            let records = peak[input.sid];
+            if records > 0.0 {
+                let src = match input.source {
+                    PlanSource::Memory => MEMORY_ENDPOINT,
+                    PlanSource::InStage { src_kind, .. } => src_kind,
+                };
+                result.peak_gbps.max_in(src, kind, gbps(records, input.width));
+            }
+        }
+        for output in &node.outputs {
+            let records = peak[output.sid];
+            if records > 0.0 {
+                let g = gbps(records, output.width);
+                if output.to_memory {
+                    result.peak_gbps.max_in(kind, MEMORY_ENDPOINT, g);
+                }
+                // One link per consumer; each sees the full stream.
+                for &(c, _) in &output.consumers {
+                    result.peak_gbps.max_in(kind, topo.nodes[c].kind as usize, g);
+                }
+            }
+        }
+    }
 }
 
 /// Advances one stream's progress counter by `k` quanta of `d` records,
@@ -790,15 +830,14 @@ fn fold_jump(
                 // so the pass-2 `adv *= read_factor` scaling is a
                 // bitwise identity and the write factor passes through.
                 let adv = scratch.desired[idx].max(0.0);
-                let SimScratch { done, allowed, deltas, adv0, .. } = &mut *scratch;
-                let (r, w, m, _) = apply_advance(
-                    topo, idx, adv, dt, adv0[idx], 1.0, done, allowed, deltas, result,
-                );
+                let SimScratch { done, peak, allowed, deltas, adv0, .. } = &mut *scratch;
+                let (r, w, m, _) =
+                    apply_advance(topo, idx, adv, adv0[idx], 1.0, done, peak, allowed, deltas);
                 node_read = r;
                 node_write = w;
                 moved = m;
             } else {
-                let SimScratch { done, deltas, allowed, adv0, locked, .. } = &mut *scratch;
+                let SimScratch { done, peak, deltas, allowed, adv0, locked, .. } = &mut *scratch;
                 for input in &node.inputs {
                     let d = deltas[input.sid];
                     if d != 0.0 {
@@ -826,16 +865,10 @@ fn fold_jump(
                         let target = avail.min(done[sid] + stream_cap).min(output.records);
                         let produced = (target - done[sid]).max(0.0);
                         if produced > 0.0 {
-                            let bytes = produced * output.width;
-                            let gbps = bytes_per_cycle_to_gbps(bytes / dt);
                             if output.to_memory {
-                                node_write += bytes;
-                                result.peak_gbps.max_in(node.kind as usize, MEMORY_ENDPOINT, gbps);
+                                node_write += produced * output.width;
                             }
-                            for &(c, _) in &output.consumers {
-                                let ck = topo.nodes[c].kind as usize;
-                                result.peak_gbps.max_in(node.kind as usize, ck, gbps);
-                            }
+                            peak[sid] = peak[sid].max(produced);
                             done[sid] += produced;
                             moved += produced;
                         }
@@ -1550,6 +1583,7 @@ fn step(
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
     done: &mut [f64],
+    peak: &mut [f64],
     desired: &mut [f64],
     allowed: &mut [f64],
     deltas: &mut [f64],
@@ -1623,18 +1657,8 @@ fn step(
                 node.outputs.iter().all(|o| done[o.sid] >= o.records),
             )
         });
-        let (r, w, m, produced_max) = apply_advance(
-            topo,
-            idx,
-            adv,
-            dt,
-            adv0[idx],
-            write_factor,
-            done,
-            allowed,
-            deltas,
-            result,
-        );
+        let (r, w, m, produced_max) =
+            apply_advance(topo, idx, adv, adv0[idx], write_factor, done, peak, allowed, deltas);
         read_bytes += r;
         write_bytes += w;
         moved += m;
@@ -1863,15 +1887,12 @@ fn memory_demand(node: &PlanNode, adv: f64, dt: f64, done: &[f64], allowed: &[f6
 
 /// Advances one input stream by up to `adv` records (shared by both
 /// consume modes of [`apply_advance`]).
-#[allow(clippy::too_many_arguments)]
 fn advance_input(
     input: &PlanInput,
     adv: f64,
-    dt: f64,
-    dst_kind: usize,
     done: &mut [f64],
+    peak: &mut [f64],
     deltas: &mut [f64],
-    result: &mut TimingResult,
     read_bytes: &mut f64,
     moved: &mut f64,
 ) {
@@ -1879,23 +1900,17 @@ fn advance_input(
     if step_records <= 0.0 {
         return;
     }
-    let bytes = step_records * input.width;
-    let src = match input.source {
-        PlanSource::Memory => {
-            *read_bytes += bytes;
-            MEMORY_ENDPOINT
-        }
-        PlanSource::InStage { src_kind, .. } => src_kind,
-    };
-    result.peak_gbps.max_in(src, dst_kind, bytes_per_cycle_to_gbps(bytes / dt));
+    if matches!(input.source, PlanSource::Memory) {
+        *read_bytes += step_records * input.width;
+    }
+    peak[input.sid] = peak[input.sid].max(step_records);
     done[input.sid] += step_records;
     deltas[input.sid] += step_records;
     *moved += step_records;
 }
 
 /// Applies an input advance of `adv` records to node `idx`, updating
-/// progress, per-stream deltas, bandwidth samples and peak-link
-/// statistics. Returns
+/// progress, per-stream deltas and per-stream peak advances. Returns
 /// `(read_bytes, write_bytes, records_moved, produced_max)` — the last
 /// being the largest per-port output advance this quantum, which blame
 /// accounting reads as the node's drain-phase activity.
@@ -1904,20 +1919,18 @@ fn apply_advance(
     topo: &StageTopo,
     idx: usize,
     adv: f64,
-    dt: f64,
     out_dt: f64,
     write_factor: f64,
     done: &mut [f64],
+    peak: &mut [f64],
     allowed: &mut [f64],
     deltas: &mut [f64],
-    result: &mut TimingResult,
 ) -> (f64, f64, f64, f64) {
     let node = &topo.nodes[idx];
     let mut read_bytes = 0.0;
     let mut write_bytes = 0.0;
     let mut moved = 0.0;
     let mut produced_max = 0.0_f64;
-    let dst_kind = node.kind as usize;
 
     // Advance inputs.
     match node.mode {
@@ -1926,33 +1939,13 @@ fn apply_advance(
                 if input.records <= 0.0 || adv <= 0.0 {
                     continue;
                 }
-                advance_input(
-                    input,
-                    adv,
-                    dt,
-                    dst_kind,
-                    done,
-                    deltas,
-                    result,
-                    &mut read_bytes,
-                    &mut moved,
-                );
+                advance_input(input, adv, done, peak, deltas, &mut read_bytes, &mut moved);
             }
         }
         ConsumeMode::Sequential => {
             if adv > 0.0 {
                 if let Some(input) = node.inputs.iter().find(|i| done[i.sid] < i.records) {
-                    advance_input(
-                        input,
-                        adv,
-                        dt,
-                        dst_kind,
-                        done,
-                        deltas,
-                        result,
-                        &mut read_bytes,
-                        &mut moved,
-                    );
+                    advance_input(input, adv, done, peak, deltas, &mut read_bytes, &mut moved);
                 }
             }
         }
@@ -1973,16 +1966,10 @@ fn apply_advance(
         if produced <= 0.0 {
             continue;
         }
-        let bytes = produced * output.width;
         if output.to_memory {
-            write_bytes += bytes;
-            result.peak_gbps.max_in(dst_kind, MEMORY_ENDPOINT, bytes_per_cycle_to_gbps(bytes / dt));
+            write_bytes += produced * output.width;
         }
-        // One link per consumer; each sees the full stream.
-        for &(c, _) in &output.consumers {
-            let ck = topo.nodes[c].kind as usize;
-            result.peak_gbps.max_in(dst_kind, ck, bytes_per_cycle_to_gbps(bytes / dt));
-        }
+        peak[output.sid] = peak[output.sid].max(produced);
         done[output.sid] += produced;
         deltas[output.sid] += produced;
         moved += produced;

@@ -27,14 +27,14 @@ use crate::tiles::TileKind;
 
 /// One temporal instruction: the set of spatial instructions resident on
 /// the array during one stage.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Tinst {
     /// Scheduled node ids, in ascending order.
     pub nodes: Vec<NodeId>,
 }
 
 /// A complete schedule of a query graph onto a tile mix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schedule {
     /// The temporal instructions in execution order.
     pub tinsts: Vec<Tinst>,

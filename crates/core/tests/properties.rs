@@ -10,8 +10,8 @@ use q100_xrand::Rng;
 use q100_columnar::{Column, MemoryCatalog, Table, Value};
 use q100_core::{
     check_feasible, execute, schedule, AggOp, AluOp, Bandwidth, BlameRecorder, CmpOp, CoreError,
-    FunctionalRun, GraphProfile, PortRef, QueryGraph, SchedulerKind, SimConfig, SimScratch,
-    Simulator, StagePlan, TileKind, TileMix, TimingResult,
+    FunctionalRun, GraphProfile, PlanCache, PortRef, QueryGraph, ScheduleCache, SchedulerKind,
+    SimConfig, SimScratch, Simulator, StagePlan, TileKind, TileMix, TimingResult,
 };
 
 const CASES: u64 = 64;
@@ -351,11 +351,19 @@ fn bandwidth_is_monotone() {
 /// graphs, a run with jumping enabled produces a bit-identical
 /// [`q100_core::TimingResult`] to pure stepping of the same compiled
 /// plan — cycles, per-link peaks, and memory statistics all match.
+///
+/// Every config also runs twice per jump mode through one
+/// [`PlanCache`] shared by all cases, so the second run is served from
+/// the plan's memo of fault-free results: both must equal the fresh
+/// plan's run, run counters included.
 #[test]
 fn quantum_jump_matches_pure_stepping_on_random_graphs() {
     let mut compared = 0u64;
     let mut jumped_quanta = 0u64;
+    let (schedules, plans) = (ScheduleCache::new(), PlanCache::new());
+    let mut tag = 0u64;
     for_each_case(|rng| {
+        tag += 1;
         let g = random_graph(rng);
         let values = rng.gen_vec(1..3000, |r| r.gen_range(-1000i64..1000));
         let cat = catalog_of(&values);
@@ -370,13 +378,32 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
             return;
         }
         let config = SimConfig::new(mix);
-        let plan = Simulator::new(&config).plan(&g, &run.profile).unwrap();
-        let mut scratch = SimScratch::new();
-        let jumped = timed(&config, &plan, &run, &g, &mut scratch, None);
-        jumped_quanta += scratch.jumped_quanta;
-        scratch.jump_enabled = false;
-        let stepped = timed(&config, &plan, &run, &g, &mut scratch, None);
-        assert_eq!(jumped, stepped, "jumped and stepped timing must agree bit-for-bit");
+        let cached = plans
+            .get_or_compile(tag, config.scheduler, &g, &mix, &run.profile, &schedules)
+            .unwrap();
+        // Each run gets its own scratch, so a memo hit must set every
+        // run counter itself.
+        let run_on = |plan: &StagePlan, jump: bool| {
+            let mut scratch = SimScratch::new();
+            scratch.jump_enabled = jump;
+            let timing = timed(&config, plan, &run, &g, &mut scratch, None);
+            (timing, [scratch.jumps, scratch.jumped_quanta, scratch.stepped_quanta])
+        };
+        let mut fresh = Vec::new();
+        for jump in [true, false] {
+            let plan = Simulator::new(&config).plan(&g, &run.profile).unwrap();
+            let expected = run_on(&plan, jump);
+            for pass in 0..2 {
+                assert_eq!(
+                    run_on(&cached, jump),
+                    expected,
+                    "shared-plan run {pass} (jump {jump}) must equal a fresh plan's run"
+                );
+            }
+            fresh.push(expected);
+        }
+        jumped_quanta += fresh[0].1[1];
+        assert_eq!(fresh[0].0, fresh[1].0, "jumped and stepped timing must agree bit-for-bit");
         compared += 1;
     });
     // Join-bearing random graphs often draw duplicate primary keys and
