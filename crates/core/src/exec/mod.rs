@@ -409,51 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_capacity_bounds_residency_and_counts_evictions() {
-        use crate::config::SchedulerKind;
-        use crate::sched::ScheduleCache;
-
-        let (g, cat) = fixture();
-        let functional = functional::execute(&g, &cat).unwrap();
-        let sched_cache = ScheduleCache::new();
-        let plans = PlanCache::with_capacity(2);
-        for tag in 0..5 {
-            let _ = plans
-                .get_or_compile(
-                    tag,
-                    SchedulerKind::DataAware,
-                    &g,
-                    &TileMix::uniform(1),
-                    &functional.profile,
-                    &sched_cache,
-                )
-                .unwrap();
-        }
-        assert_eq!(plans.len(), 2, "capacity must bound resident plans");
-        assert_eq!(plans.evictions(), 3);
-        // Evicted plans still count as the compile-misses they were.
-        assert_eq!(plans.stats(), crate::sched::CacheStats { hits: 0, misses: 5 });
-        // An evicted-then-revisited key recompiles rather than erroring.
-        let _ = plans
-            .get_or_compile(
-                0,
-                SchedulerKind::DataAware,
-                &g,
-                &TileMix::uniform(1),
-                &functional.profile,
-                &sched_cache,
-            )
-            .unwrap();
-        plans.clear();
-        assert_eq!(plans.evictions(), 0);
-        // Default-capacity caches never evict at sweep scales.
-        assert_eq!(PlanCache::new().evictions(), 0);
-    }
-
-    #[test]
     fn plan_cache_single_flight_keeps_sched_call_count_deterministic() {
         use crate::config::SchedulerKind;
-        use crate::sched::{CacheStats, ScheduleCache};
+        use crate::{CacheStats, ScheduleCache};
 
         let (g, cat) = fixture();
         let functional = functional::execute(&g, &cat).unwrap();
@@ -604,7 +562,7 @@ mod tests {
     #[test]
     fn plan_cache_shares_plans_between_equal_schedules() {
         use crate::config::SchedulerKind;
-        use crate::sched::{CacheStats, ScheduleCache};
+        use crate::{CacheStats, ScheduleCache};
 
         // Two filters in a row: one of each tile kind runs them in two
         // stages, more tiles in one.

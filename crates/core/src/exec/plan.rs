@@ -22,7 +22,6 @@
 //! way the same plan, so a sweep simulates each distinct (query,
 //! schedule, bandwidth) point once.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::config::{SchedulerKind, SimConfig, TileMix};
@@ -32,7 +31,8 @@ use crate::exec::timing::{
     consume_mode, jump_enabled, ConnMatrix, ConsumeMode, TimingResult, MEMORY_ENDPOINT,
 };
 use crate::isa::graph::{NodeId, PortRef, QueryGraph, SpatialOp};
-use crate::sched::{CacheStats, Schedule, ScheduleCache};
+use crate::memo::{CacheStats, Memo, DEFAULT_CAPACITY};
+use crate::sched::{Schedule, ScheduleCache};
 use crate::tiles::TileKind;
 
 /// Where an input stream comes from.
@@ -636,26 +636,8 @@ impl SimScratch {
     }
 }
 
-/// A [`PlanCache`] lookup key: query tag, scheduler, tile mix.
-type PlanKey = (u64, SchedulerKind, TileMix);
-
-/// A key of a [`PlanCache`]'s plans by schedule: query tag, scheduler,
-/// schedule contents.
-type ScheduleKey = (u64, SchedulerKind, Arc<Schedule>);
-
-/// One entry of a [`PlanCache`]'s per-key map.
-#[derive(Debug)]
-enum PlanSlot {
-    /// A compiled, resident plan.
-    Ready(Arc<StagePlan>),
-    /// The first caller is compiling this key right now; wait on
-    /// [`PlanCache::compiled`] instead of compiling it again.
-    Pending,
-}
-
 /// A thread-safe memo of compiled plans keyed by *query tag ×
-/// scheduler × tile mix* — the plan-layer twin of
-/// [`ScheduleCache`].
+/// scheduler × tile mix*, the plan-layer twin of [`ScheduleCache`].
 ///
 /// A [`StagePlan`] depends on exactly what its schedule depends on (the
 /// query graph, scheduler, tile mix, and volume profile), so the two
@@ -665,81 +647,35 @@ enum PlanSlot {
 /// (keeping the schedule memo warm for callers that still want bare
 /// schedules), then looks the schedule's contents up under `(tag,
 /// scheduler)`: mixes that schedule the query identically share one
-/// compiled plan — and with it the plan's memo of fault-free timing
-/// results — and only a schedule seen for the first time is compiled.
-/// Every subsequent configuration of a sweep reuses the artifact.
+/// compiled plan, and with it the plan's memo of fault-free timing
+/// results, and only a schedule seen for the first time is compiled.
 ///
-/// Compilation runs outside the map lock, so concurrent sweep workers
-/// never serialize on it. First sight of a key is *single-flight*: late
-/// arrivals for a key whose plan is still compiling wait for the result
-/// instead of compiling again, so the compile path — and with it the
-/// number of calls this cache issues into the backing
-/// [`ScheduleCache`] — runs exactly once per key regardless of worker
-/// timing. (Without this, two workers racing the same fresh key would
-/// both take the miss path and the schedule cache's lookup count would
-/// depend on the interleaving, breaking the byte-identical stdout
-/// guarantee.) Hit/miss counters follow the same deterministic
-/// definition as [`CacheStats`].
-///
-/// Like [`ScheduleCache`], the cache is bounded: inserting a fresh key
-/// at capacity evicts one resident entry (arbitrary victim — plans are
-/// pure functions of their keys, so eviction only costs a
-/// recompilation) and bumps the eviction counter plus the
-/// `cache.evictions` registry metric.
+/// Both lookups are single-flight, so the compile path, and with it the
+/// number of calls this cache issues into the backing [`ScheduleCache`],
+/// runs exactly once per key regardless of worker timing; otherwise two
+/// workers racing the same fresh key would make the schedule cache's
+/// counters, and the byte-identical stdout, depend on the interleaving.
+/// Counters and the capacity bound follow [`ScheduleCache`]; only the
+/// per-key memo counts or reports evictions.
 #[derive(Debug)]
 pub struct PlanCache {
-    map: Mutex<HashMap<PlanKey, PlanSlot>>,
+    by_key: Memo<(u64, SchedulerKind, TileMix), Arc<StagePlan>>,
     /// Compiled plans by schedule contents, shared by every key whose
-    /// mix schedules the query the same way; bounded by `capacity`.
-    by_schedule: Mutex<HashMap<ScheduleKey, Arc<StagePlan>>>,
-    /// Notified whenever a pending slot resolves (ready or failed).
-    compiled: std::sync::Condvar,
-    /// Successful lookups since the last reset (call count, which is
-    /// independent of worker interleaving).
-    lookups: std::sync::atomic::AtomicU64,
-    /// Inserts (map size plus evictions) at the last reset;
-    /// `len + evictions - base_len` is the deterministic miss count.
-    base_len: std::sync::atomic::AtomicU64,
-    /// Maximum resident entries before eviction kicks in.
-    capacity: usize,
-    /// Entries evicted to respect `capacity` since construction (or the
-    /// last [`PlanCache::clear`]).
-    evictions: std::sync::atomic::AtomicU64,
-    registry: Option<Arc<q100_trace::Registry>>,
+    /// mix schedules the query the same way.
+    by_schedule: Memo<(u64, SchedulerKind, Arc<Schedule>), Arc<StagePlan>>,
 }
 
 impl Default for PlanCache {
     fn default() -> Self {
-        PlanCache {
-            map: Mutex::default(),
-            by_schedule: Mutex::default(),
-            compiled: std::sync::Condvar::new(),
-            lookups: std::sync::atomic::AtomicU64::new(0),
-            base_len: std::sync::atomic::AtomicU64::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            evictions: std::sync::atomic::AtomicU64::new(0),
-            registry: None,
-        }
+        PlanCache { by_key: Memo::new(DEFAULT_CAPACITY), by_schedule: Memo::new(DEFAULT_CAPACITY) }
     }
 }
 
 impl PlanCache {
-    /// Default capacity, matching [`ScheduleCache::DEFAULT_CAPACITY`]:
-    /// far above what any shipped sweep populates, so all existing runs
-    /// stay eviction-free, while a serving loop churning through
-    /// degraded mixes cannot grow memory without bound.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache bounded to `capacity` resident entries (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache { capacity: capacity.max(1), ..Self::default() }
     }
 
     /// An empty cache that additionally counts every successful lookup
@@ -747,7 +683,10 @@ impl PlanCache {
     /// `cache.evictions`).
     #[must_use]
     pub fn with_metrics(registry: Arc<q100_trace::Registry>) -> Self {
-        PlanCache { registry: Some(registry), ..Self::default() }
+        PlanCache {
+            by_key: Memo::new(DEFAULT_CAPACITY).with_metrics(registry, "plan.cache.lookups"),
+            ..Self::default()
+        }
     }
 
     /// Returns the memoized plan for `(tag, kind, mix)`, scheduling
@@ -761,10 +700,6 @@ impl PlanCache {
     ///
     /// Propagates scheduler and compilation errors; failures are not
     /// cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     pub fn get_or_compile(
         &self,
         tag: u64,
@@ -774,194 +709,36 @@ impl PlanCache {
         profile: &GraphProfile,
         sched_cache: &ScheduleCache,
     ) -> Result<Arc<StagePlan>> {
-        let key = (tag, kind, *mix);
-        {
-            let mut map = self.map.lock().unwrap();
-            loop {
-                match map.get(&key) {
-                    Some(PlanSlot::Ready(p)) => {
-                        let p = Arc::clone(p);
-                        drop(map);
-                        self.note_lookup();
-                        return Ok(p);
-                    }
-                    Some(PlanSlot::Pending) => {
-                        map = self.compiled.wait(map).unwrap();
-                    }
-                    None => {
-                        map.insert(key, PlanSlot::Pending);
-                        break;
-                    }
-                }
-            }
-        }
-        // Compile outside the lock; this caller owns the pending slot,
-        // so no other thread can be compiling the same key. The guard
-        // releases the slot if the compile unwinds, so waiters retry
-        // instead of hanging.
-        let guard = PendingGuard { cache: self, key };
-        let result = sched_cache
-            .get_or_schedule(tag, kind, graph, mix, profile)
-            .and_then(|schedule| self.shared_plan(tag, kind, graph, schedule, profile));
-        let mut map = self.map.lock().unwrap();
-        match result {
-            Ok(fresh) => {
-                if Self::ready_len(&map) >= self.capacity {
-                    let victim = map
-                        .iter()
-                        .find(|(k, slot)| **k != key && matches!(slot, PlanSlot::Ready(_)))
-                        .map(|(k, _)| *k);
-                    if let Some(victim) = victim {
-                        map.remove(&victim);
-                        self.note_eviction();
-                    }
-                }
-                map.insert(key, PlanSlot::Ready(Arc::clone(&fresh)));
-                drop(map);
-                std::mem::forget(guard);
-                self.compiled.notify_all();
-                self.note_lookup();
-                Ok(fresh)
-            }
-            Err(e) => {
-                // Failures are not cached: release the pending slot so
-                // waiters (and retries) attempt the compile themselves.
-                map.remove(&key);
-                drop(map);
-                std::mem::forget(guard);
-                self.compiled.notify_all();
-                Err(e)
-            }
-        }
+        self.by_key.get_or_try_insert_with((tag, kind, *mix), || {
+            let schedule = sched_cache.get_or_schedule(tag, kind, graph, mix, profile)?;
+            self.by_schedule.get_or_try_insert_with((tag, kind, Arc::clone(&schedule)), || {
+                StagePlan::compile(graph, schedule, profile).map(Arc::new)
+            })
+        })
     }
 
-    /// The plan compiled from `schedule` for `(tag, kind)`, compiling
-    /// it only if no other key produced the same schedule. Two keys that
-    /// race on one fresh schedule may both compile, but the second
-    /// adopts the first's plan, so their memos stay shared.
-    fn shared_plan(
-        &self,
-        tag: u64,
-        kind: SchedulerKind,
-        graph: &QueryGraph,
-        schedule: Arc<Schedule>,
-        profile: &GraphProfile,
-    ) -> Result<Arc<StagePlan>> {
-        let key = (tag, kind, schedule);
-        if let Some(plan) = self.by_schedule.lock().unwrap().get(&key) {
-            return Ok(Arc::clone(plan));
-        }
-        let fresh = Arc::new(StagePlan::compile(graph, Arc::clone(&key.2), profile)?);
-        let mut shared = self.by_schedule.lock().unwrap();
-        if !shared.contains_key(&key) && shared.len() >= self.capacity {
-            if let Some(victim) = shared.keys().next().cloned() {
-                shared.remove(&victim);
-            }
-        }
-        Ok(Arc::clone(shared.entry(key).or_insert(fresh)))
-    }
-
-    /// Resident (compiled) plans in `map`, ignoring pending slots.
-    fn ready_len(map: &HashMap<PlanKey, PlanSlot>) -> usize {
-        map.values().filter(|slot| matches!(slot, PlanSlot::Ready(_))).count()
-    }
-
-    fn note_lookup(&self) {
-        self.lookups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("plan.cache.lookups", 1);
-        }
-    }
-
-    fn note_eviction(&self) {
-        self.evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("cache.evictions", 1);
-        }
-    }
-
-    /// Entries evicted to respect the capacity bound since construction
-    /// (or the last [`PlanCache::clear`]).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Current hit/miss counters (see [`CacheStats`] for the
-    /// deterministic definition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
+    /// Current hit/miss counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
-        let len = Self::ready_len(&self.map.lock().unwrap()) as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        let misses = inserted.saturating_sub(self.base_len.load(Ordering::Relaxed));
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        CacheStats { hits: lookups.saturating_sub(misses), misses }
+        self.by_key.stats()
     }
 
     /// Zeroes the counters while keeping every memoized plan, so each
     /// sweep of a multi-figure run reports its own hit/miss line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     pub fn reset_stats(&self) {
-        use std::sync::atomic::Ordering;
-        let len = Self::ready_len(&self.map.lock().unwrap()) as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        self.base_len.store(inserted, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
+        self.by_key.reset_stats();
     }
 
-    /// Drops every memoized plan and zeroes the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        use std::sync::atomic::Ordering;
-        self.map.lock().unwrap().clear();
-        self.by_schedule.lock().unwrap().clear();
-        self.base_len.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of distinct memoized plans (pending compiles excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
+    /// Plans evicted from the per-key memo to respect the capacity
+    /// bound.
     #[must_use]
-    pub fn len(&self) -> usize {
-        Self::ready_len(&self.map.lock().unwrap())
+    pub fn evictions(&self) -> u64 {
+        self.by_key.evictions()
     }
 
-    /// Whether the cache holds no plans.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Releases a pending [`PlanSlot`] if the owning compile unwinds, so
-/// waiters blocked on [`PlanCache::compiled`] retry instead of hanging
-/// forever. The normal success/error paths `mem::forget` this guard
-/// after resolving the slot themselves.
-struct PendingGuard<'a> {
-    cache: &'a PlanCache,
-    key: PlanKey,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut map) = self.cache.map.lock() {
-            map.remove(&self.key);
-        }
-        self.cache.compiled.notify_all();
+    /// Number of memoized `(tag, scheduler, mix)` keys.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.by_key.len()
     }
 }

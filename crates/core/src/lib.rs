@@ -21,6 +21,7 @@ pub mod config;
 pub mod error;
 pub mod exec;
 pub mod isa;
+mod memo;
 pub mod power;
 pub mod resilience;
 pub mod sched;
@@ -34,12 +35,13 @@ pub use exec::{
     SimScratch, Simulator, StagePlan, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
 };
 pub use isa::{AggOp, AluOp, CmpOp, GraphBuilder, NodeId, PortRef, QueryGraph, SpatialOp};
+pub use memo::CacheStats;
 pub use power::DesignBudget;
 pub use resilience::{
     run_resilient, CostKey, Derate, Fault, FaultScenario, ResilientOutcome, ScenarioClass,
     ScenarioClassifier, ServiceCost, ServiceCostCache,
 };
-pub use sched::{check_feasible, schedule, CacheStats, Schedule, ScheduleCache, Tinst};
+pub use sched::{check_feasible, schedule, Schedule, ScheduleCache, Tinst};
 pub use tiles::{TileKind, TileSpec, FREQUENCY_MHZ, SORTER_BATCH};
 
 /// Structured tracing and metrics (re-export of [`q100_trace`]): the

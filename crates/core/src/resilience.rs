@@ -23,9 +23,8 @@
 //! An empty scenario applies to *no change at all* (`derate: None`),
 //! so a fault-rate-0 run reproduces baseline cycle counts exactly.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use q100_trace::{Registry, TraceEvent, TraceSink};
 use q100_xrand::Rng;
@@ -37,7 +36,8 @@ use crate::exec::{
     Simulator, StagePlan, MEMORY_ENDPOINT,
 };
 use crate::isa::QueryGraph;
-use crate::sched::{CacheStats, ScheduleCache};
+use crate::memo::{CacheStats, Memo};
+use crate::sched::ScheduleCache;
 use crate::tiles::TileKind;
 
 /// Maximum temporal-instruction slots considered for transient stalls
@@ -642,10 +642,10 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 ///    the canonical mix is `min(base − kills, demand)` per demanded
 ///    kind (undemanded kinds keep their base count).
 ///
-/// `classify` is deterministic and thread-safe; the per-mix memo
-/// compiles plans *inside* its lock so the backing [`PlanCache`] sees
-/// exactly one `get_or_compile` per new canonical mix (keeping cache
-/// counters job-count independent).
+/// `classify` is deterministic and thread-safe; the per-mix memo is
+/// single-flight, so the backing [`PlanCache`] sees exactly one
+/// `get_or_compile` per new canonical mix (keeping cache counters
+/// job-count independent).
 #[derive(Debug)]
 pub struct ScenarioClassifier {
     demand: [u32; TileKind::COUNT],
@@ -653,7 +653,7 @@ pub struct ScenarioClassifier {
     noc_bpc: Option<f64>,
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
-    meta: Mutex<HashMap<TileMix, Option<MixMeta>>>,
+    meta: Memo<TileMix, Option<MixMeta>>,
 }
 
 impl ScenarioClassifier {
@@ -667,13 +667,23 @@ impl ScenarioClassifier {
         for (d, &h) in demand.iter_mut().zip(&hist) {
             *d = u32::try_from(h).unwrap_or(u32::MAX);
         }
+        // A demanded kind's canonical count lies in `0..=min(base,
+        // demand)` and every other kind keeps its base count, so this
+        // bound on distinct canonical mixes keeps the memo from ever
+        // evicting: `plan` finds every mix `classify` has seen.
+        let mixes = demand
+            .iter()
+            .zip(base.mix.counts())
+            .filter(|(&d, _)| d > 0)
+            .map(|(&d, &c)| d.min(c) as usize + 1)
+            .fold(1, usize::saturating_mul);
         ScenarioClassifier {
             demand,
             base_mix: base.mix,
             noc_bpc: base.bandwidth.noc_gbps.map(gbps_to_bytes_per_cycle),
             read_bpc: base.bandwidth.mem_read_gbps.map(gbps_to_bytes_per_cycle),
             write_bpc: base.bandwidth.mem_write_gbps.map(gbps_to_bytes_per_cycle),
-            meta: Mutex::new(HashMap::new()),
+            meta: Memo::new(mixes),
         }
     }
 
@@ -709,22 +719,14 @@ impl ScenarioClassifier {
         plans: &PlanCache,
         tag: u64,
     ) -> Option<MixMeta> {
-        let mut map = self.meta.lock().unwrap();
-        if let Some(meta) = map.get(&mix) {
-            return meta.clone();
-        }
-        // Compiled under the lock on purpose: racing classifications of
-        // the same fresh mix would otherwise issue duplicate (and
-        // thread-count-dependent) plan-cache lookups. New canonical
-        // mixes are rare, so the serialization cost is negligible.
-        let meta = plans
-            .get_or_compile(tag, scheduler, graph, &mix, profile, sched_cache)
-            .ok()
-            .map(|plan| {
+        let compile = || {
+            let plan = plans.get_or_compile(tag, scheduler, graph, &mix, profile, sched_cache).ok();
+            Ok::<_, Infallible>(plan.map(|plan| {
                 let (noc_w_max, read_w_max, write_w_max) = plan.cap_thresholds();
                 MixMeta { stages: plan.stages(), plan, noc_w_max, read_w_max, write_w_max }
-            });
-        map.insert(mix, meta.clone());
+            }))
+        };
+        let Ok(meta) = self.meta.get_or_try_insert_with(mix, compile);
         meta
     }
 
@@ -732,11 +734,7 @@ impl ScenarioClassifier {
     /// (`None` when the mix is unschedulable or was never classified).
     #[must_use]
     pub fn plan(&self, mix: &TileMix) -> Option<Arc<StagePlan>> {
-        self.meta
-            .lock()
-            .unwrap()
-            .get(mix)
-            .and_then(|m| m.as_ref().map(|meta| Arc::clone(&meta.plan)))
+        self.meta.get(mix).flatten().map(|meta| meta.plan)
     }
 
     /// A derated cap factor as the quantum loop would feel it: `1.0`
@@ -804,10 +802,8 @@ impl ScenarioClassifier {
 }
 
 /// A thread-safe, bounded memo of [`ServiceCost`]s keyed by *query tag
-/// × [`CostKey`]* — the serving layer's twin of [`PlanCache`], with the
-/// same deterministic hit/miss definition (`misses = len + evictions −
-/// base_len`, independent of worker interleaving) and arbitrary-victim
-/// eviction.
+/// × [`CostKey`]*, the serving layer's twin of [`PlanCache`], with the
+/// same deterministic counters and oldest-first eviction.
 ///
 /// Unlike [`PlanCache::get_or_compile`] this cache splits lookup and
 /// insertion: the two-phase serve engine batches lookups per
@@ -815,28 +811,12 @@ impl ScenarioClassifier {
 /// the fresh costs afterwards.
 #[derive(Debug)]
 pub struct ServiceCostCache {
-    map: Mutex<HashMap<(u64, CostKey), ServiceCost>>,
-    /// Lookup call count since the last reset (job-count independent:
-    /// callers look each deduplicated key up exactly once).
-    lookups: AtomicU64,
-    /// Inserts (map size plus evictions) at the last reset;
-    /// `len + evictions - base_len` is the deterministic miss count.
-    base_len: AtomicU64,
-    capacity: usize,
-    evictions: AtomicU64,
-    registry: Option<Arc<Registry>>,
+    memo: Memo<(u64, CostKey), ServiceCost>,
 }
 
 impl Default for ServiceCostCache {
     fn default() -> Self {
-        ServiceCostCache {
-            map: Mutex::default(),
-            lookups: AtomicU64::new(0),
-            base_len: AtomicU64::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            evictions: AtomicU64::new(0),
-            registry: None,
-        }
+        ServiceCostCache { memo: Memo::new(Self::DEFAULT_CAPACITY) }
     }
 }
 
@@ -856,113 +836,43 @@ impl ServiceCostCache {
         Self::default()
     }
 
-    /// An empty cache bounded to `capacity` resident entries (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        ServiceCostCache { capacity: capacity.max(1), ..Self::default() }
-    }
-
-    /// An empty cache that additionally counts every lookup into
-    /// `registry` under `serve.cost_cache.lookups` (and evictions under
-    /// `serve.cost_cache.evictions`).
-    #[must_use]
-    pub fn with_metrics(registry: Arc<Registry>) -> Self {
-        ServiceCostCache { registry: Some(registry), ..Self::default() }
-    }
-
     /// The memoized cost of `(tag, key)`, counting the lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     #[must_use]
     pub fn get(&self, tag: u64, key: &CostKey) -> Option<ServiceCost> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("serve.cost_cache.lookups", 1);
-        }
-        self.map.lock().unwrap().get(&(tag, *key)).copied()
+        self.memo.get(&(tag, *key))
     }
 
-    /// Inserts a freshly computed cost, evicting an arbitrary resident
+    /// Inserts a freshly computed cost, evicting the oldest-inserted
     /// entry when at capacity (costs are pure functions of their keys,
     /// so eviction only costs a re-simulation). An existing entry wins
-    /// over `cost` — concurrent fills of the same key stay consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
+    /// over `cost`, so concurrent fills of the same key stay consistent.
     pub fn insert(&self, tag: u64, key: CostKey, cost: ServiceCost) {
-        let mut map = self.map.lock().unwrap();
-        let full_key = (tag, key);
-        if !map.contains_key(&full_key) && map.len() >= self.capacity {
-            if let Some(victim) = map.keys().next().copied() {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &self.registry {
-                    r.inc("serve.cost_cache.evictions", 1);
-                }
-            }
-        }
-        map.entry(full_key).or_insert(cost);
+        self.memo.insert((tag, key), cost);
     }
 
-    /// Entries evicted to respect the capacity bound since construction
-    /// (or the last [`ServiceCostCache::clear`]).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Current hit/miss counters (see [`CacheStats`] for the
-    /// deterministic definition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
+    /// Current hit/miss counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        let misses = inserted.saturating_sub(self.base_len.load(Ordering::Relaxed));
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        CacheStats { hits: lookups.saturating_sub(misses), misses }
+        self.memo.stats()
     }
 
     /// Zeroes the counters while keeping every memoized cost (e.g.
     /// after seeding baselines, so reported misses count only real
     /// serving-time simulations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     pub fn reset_stats(&self) {
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        self.base_len.store(inserted, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
+        self.memo.reset_stats();
     }
 
-    /// Drops every memoized cost and zeroes the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-        self.base_len.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+    /// Costs evicted to respect the capacity bound.
+    #[must_use]
+    pub fn evictions(&self) -> u64 {
+        self.memo.evictions()
     }
 
     /// Number of distinct memoized costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.memo.len()
     }
 
     /// Whether the cache holds no costs.
@@ -980,6 +890,7 @@ mod tests {
     use crate::isa::CmpOp;
     use q100_columnar::{Column, Table, Value};
     use q100_trace::RingRecorder;
+    use std::collections::HashMap;
 
     fn catalog() -> MemoryCatalog {
         let ids: Vec<i64> = (0..4096).collect();

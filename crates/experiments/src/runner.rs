@@ -393,13 +393,6 @@ impl Workload {
         self.plan_cache.stats()
     }
 
-    /// Drops memoized schedules and compiled plans, and zeroes both
-    /// caches' counters.
-    pub fn clear_sched_cache(&self) {
-        self.sched_cache.clear();
-        self.plan_cache.clear();
-    }
-
     /// Zeroes both caches' hit/miss counters while keeping the memoized
     /// schedules and plans, so each figure's stdout lines report their
     /// own sweep.

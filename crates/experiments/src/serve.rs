@@ -61,9 +61,11 @@ pub struct ServeCell {
 
 /// Aggregate cache statistics over a study's devices, captured after
 /// every cell has run. All counts are deterministic at any `--jobs`
-/// setting: hit/miss splits are length-based and classifier plan
-/// compilation is serialized per canonical mix (see
-/// [`q100_core::ScenarioClassifier`]).
+/// setting: a miss is a distinct key inserted, lookups are
+/// single-flight, and phase 1 of the serve engine looks costs up and
+/// inserts them in request order, so even a device that overflows its
+/// cost cache evicts the same oldest-inserted entries on every run (see
+/// [`q100_core::CacheStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeCaches {
     /// Service-cost cache hits (attempt classes answered without
