@@ -272,12 +272,6 @@ impl Column {
         }
     }
 
-    /// An empty column with the same name/type/width/dictionary.
-    #[must_use]
-    pub fn empty_like(&self) -> Self {
-        self.with_data(Vec::new())
-    }
-
     /// Appends another column's elements.
     ///
     /// # Errors

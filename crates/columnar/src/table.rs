@@ -117,18 +117,6 @@ impl Table {
             .ok_or_else(|| ColumnarError::UnknownColumn(name.to_string()))
     }
 
-    /// Position of a column by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ColumnarError::UnknownColumn`] if absent.
-    pub fn column_index(&self, name: &str) -> Result<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name() == name)
-            .ok_or_else(|| ColumnarError::UnknownColumn(name.to_string()))
-    }
-
     /// The column at `idx`.
     ///
     /// # Panics
@@ -147,28 +135,6 @@ impl Table {
     pub fn project(&self, names: &[&str]) -> Result<Table> {
         let cols: Result<Vec<Column>> = names.iter().map(|n| self.column(n).cloned()).collect();
         Table::new(cols?)
-    }
-
-    /// Adds a column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ColumnarError::LengthMismatch`] or
-    /// [`ColumnarError::DuplicateColumn`] under the same invariants as
-    /// [`Table::new`].
-    pub fn push_column(&mut self, column: Column) -> Result<()> {
-        if !self.columns.is_empty() && column.len() != self.row_count() {
-            return Err(ColumnarError::LengthMismatch {
-                column: column.name().to_string(),
-                actual: column.len(),
-                expected: self.row_count(),
-            });
-        }
-        if self.columns.iter().any(|c| c.name() == column.name()) {
-            return Err(ColumnarError::DuplicateColumn(column.name().to_string()));
-        }
-        self.columns.push(column);
-        Ok(())
     }
 
     /// Builds a new table whose rows are `self[indices[i]]`.

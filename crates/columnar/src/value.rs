@@ -46,13 +46,6 @@ impl LogicalType {
             LogicalType::Bool => 1,
         }
     }
-
-    /// Whether values of this type are compared numerically (as opposed
-    /// to via dictionary lookup).
-    #[must_use]
-    pub fn is_numeric(self) -> bool {
-        !matches!(self, LogicalType::Str)
-    }
 }
 
 impl fmt::Display for LogicalType {

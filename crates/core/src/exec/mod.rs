@@ -25,7 +25,7 @@ use q100_columnar::Table;
 
 use crate::config::SimConfig;
 use crate::error::Result;
-use crate::exec::plan::MemoKey;
+use crate::exec::plan::{MemoKey, MemoRun};
 use crate::isa::graph::QueryGraph;
 use crate::power;
 use crate::sched::{self, Schedule};
@@ -234,7 +234,9 @@ impl<'a> Simulator<'a> {
     /// caps, point-to-point links and jump mode: the configuration is
     /// still validated, and `scratch`'s run counters are set to those of
     /// the memoized run. Every other run simulates, and a fault-free,
-    /// unobserved one is memoized.
+    /// unobserved one is memoized. Memo fills are single-flight: workers
+    /// racing on one plan and key simulate it once, the rest wait for
+    /// that result.
     ///
     /// # Errors
     ///
@@ -253,17 +255,15 @@ impl<'a> Simulator<'a> {
             _ => None,
         };
         let timing = match memo_key {
-            Some(key) => match plan.memo.get(&key) {
-                Some(run) => {
-                    self.config.validate()?;
-                    run.restore(scratch)
-                }
-                None => {
-                    let timing = timing::simulate_plan(plan, self.config, scratch, None, None)?;
-                    plan.memo.insert(key, &timing, scratch);
-                    timing
-                }
-            },
+            Some(key) => {
+                self.config.validate()?;
+                plan.memo
+                    .get_or_try_insert_with(key, || -> Result<MemoRun> {
+                        let timing = timing::simulate_plan(plan, self.config, scratch, None, None)?;
+                        Ok(MemoRun::new(timing, scratch))
+                    })?
+                    .restore(scratch)
+            }
             None => timing::simulate_plan(plan, self.config, scratch, sink, blame)?,
         };
         Ok(SimOutcome {
@@ -483,7 +483,8 @@ mod tests {
         assert_eq!(stepped[..2], [0, 0]);
         assert_eq!(stepped[2], jumped[1] + jumped[2]);
 
-        // Distinct bandwidth caps are distinct keys, up to the cap.
+        // Distinct bandwidth caps are distinct keys; past the capacity
+        // the oldest-inserted ones are evicted.
         for i in 0..80 {
             let capped = config.clone().with_bandwidth(crate::config::Bandwidth {
                 noc_gbps: Some(1.0 + f64::from(i)),
@@ -492,6 +493,48 @@ mod tests {
             let _ = timed(&capped, &plan, &g, &functional, true);
         }
         assert_eq!(plan.memo.len(), 64);
+        assert_eq!(plan.memo.evictions(), 82 - 64);
+        // The first key inserted was evicted: it simulates again, to the
+        // same result and counters.
+        let misses = plan.memo.stats().misses;
+        let fresh_plan = sim.plan(&g, &functional.profile).unwrap();
+        let fresh = timed(&config, &fresh_plan, &g, &functional, true);
+        assert_eq!(timed(&config, &plan, &g, &functional, true), fresh);
+        assert_eq!(plan.memo.stats().misses, misses + 1);
+    }
+
+    #[test]
+    fn racing_workers_simulate_a_plan_key_once() {
+        use crate::CacheStats;
+
+        let (g, cat) = fixture();
+        let functional = functional::execute_lean(&g, &cat).unwrap();
+        let config = SimConfig::new(TileMix::uniform(1));
+        let sim = Simulator::new(&config);
+        let fresh_plan = sim.plan(&g, &functional.profile).unwrap();
+        let fresh = timed(&config, &fresh_plan, &g, &functional, true);
+        let plan = sim.plan(&g, &functional.profile).unwrap();
+        let workers = 8;
+        let start = std::sync::Barrier::new(workers);
+        let runs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        timed(&config, &plan, &g, &functional, true)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for run in runs {
+            assert_eq!(run, fresh, "every worker must see the fresh run and its counters");
+        }
+        assert_eq!(
+            plan.memo.stats(),
+            CacheStats { hits: workers as u64 - 1, misses: 1 },
+            "the kernel must run once per (plan, key)"
+        );
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! vector indexed by stream id instead of nested `SimNode` structs,
 //! which is what lets the hot quantum loop run allocation-free.
 //!
-//! A plan also memoizes its fault-free timing results (`TimingMemo`),
+//! A plan also memoizes its fault-free timing results in a `Memo`,
 //! and a [`PlanCache`] hands every key that schedules a query the same
 //! way the same plan, so a sweep simulates each distinct (query,
 //! schedule, bandwidth) point once.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::config::{SchedulerKind, SimConfig, TileMix};
 use crate::error::{CoreError, Result};
@@ -114,7 +114,7 @@ pub(crate) struct StageTopo {
 /// Built once by [`StagePlan::compile`] and shared (e.g. behind an
 /// `Arc` in [`PlanCache`]) across every configuration of a sweep; see
 /// the module docs for what it captures.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StagePlan {
     /// The schedule this plan was compiled from, shared with every
     /// [`SimOutcome`](crate::exec::SimOutcome) the plan produces.
@@ -129,8 +129,9 @@ pub struct StagePlan {
     pub(crate) max_streams: usize,
     /// Max node count over stages.
     pub(crate) max_nodes: usize,
-    /// Fault-free timing results already simulated from this plan.
-    pub(crate) memo: TimingMemo,
+    /// Fault-free timing results already simulated from this plan,
+    /// shared by every sweep worker holding it.
+    pub(crate) memo: Memo<MemoKey, MemoRun>,
 }
 
 impl StagePlan {
@@ -355,7 +356,7 @@ impl StagePlan {
             max_streams,
             max_nodes,
             schedule,
-            memo: TimingMemo::default(),
+            memo: Memo::new(MEMO_CAPACITY),
         })
     }
 
@@ -420,8 +421,8 @@ impl StagePlan {
     }
 }
 
-/// Most timing results one [`StagePlan`] memoizes; later distinct
-/// configurations simulate without being stored.
+/// Most timing results one [`StagePlan`] memoizes; beyond it the
+/// oldest-inserted result is evicted.
 const MEMO_CAPACITY: usize = 64;
 
 /// Everything a fault-free simulation of a fixed plan reads from its
@@ -429,7 +430,7 @@ const MEMO_CAPACITY: usize = 64;
 /// the point-to-point links, and whether the quantum-jump fast path may
 /// engage (a stepped run reports different jump counters than a jumped
 /// one, so the two never share an entry).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
     caps: [Option<u64>; 3],
     p2p_links: Vec<(TileKind, TileKind)>,
@@ -464,6 +465,17 @@ pub(crate) struct MemoRun {
 }
 
 impl MemoRun {
+    /// `timing` together with the run counters its simulation just left
+    /// in `scratch`.
+    pub(crate) fn new(timing: TimingResult, scratch: &SimScratch) -> Self {
+        MemoRun {
+            timing,
+            jumps: scratch.jumps,
+            jumped_quanta: scratch.jumped_quanta,
+            stepped_quanta: scratch.stepped_quanta,
+        }
+    }
+
     /// The stored result, with its run counters copied into `scratch`
     /// as if the simulation had just run there.
     pub(crate) fn restore(self, scratch: &mut SimScratch) -> TimingResult {
@@ -471,57 +483,6 @@ impl MemoRun {
         scratch.jumped_quanta = self.jumped_quanta;
         scratch.stepped_quanta = self.stepped_quanta;
         self.timing
-    }
-}
-
-/// A plan's memo of fault-free timing results, keyed by [`MemoKey`].
-///
-/// Shared by every sweep worker holding the plan; inserting a key that
-/// is already present keeps the first entry, and at most
-/// [`MEMO_CAPACITY`] entries are kept.
-#[derive(Debug, Default)]
-pub(crate) struct TimingMemo(Mutex<Vec<(MemoKey, MemoRun)>>);
-
-impl Clone for TimingMemo {
-    fn clone(&self) -> Self {
-        TimingMemo(Mutex::new(self.entries().clone()))
-    }
-}
-
-impl TimingMemo {
-    fn entries(&self) -> MutexGuard<'_, Vec<(MemoKey, MemoRun)>> {
-        // Entries are pushed whole, so a poisoned lock still guards a
-        // consistent vector.
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Number of memoized runs.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries().len()
-    }
-
-    /// The run memoized under `key`, if any.
-    pub(crate) fn get(&self, key: &MemoKey) -> Option<MemoRun> {
-        self.entries().iter().find(|(k, _)| k == key).map(|(_, run)| run.clone())
-    }
-
-    /// Stores `timing` and `scratch`'s run counters under `key`, unless
-    /// the key is already present or the memo is full.
-    pub(crate) fn insert(&self, key: MemoKey, timing: &TimingResult, scratch: &SimScratch) {
-        let mut entries = self.entries();
-        if entries.len() >= MEMO_CAPACITY || entries.iter().any(|(k, _)| *k == key) {
-            return;
-        }
-        entries.push((
-            key,
-            MemoRun {
-                timing: timing.clone(),
-                jumps: scratch.jumps,
-                jumped_quanta: scratch.jumped_quanta,
-                stepped_quanta: scratch.stepped_quanta,
-            },
-        ));
     }
 }
 

@@ -1,8 +1,9 @@
 //! The bounded, deterministic memo behind every cache of the crate
 //! ([`ScheduleCache`](crate::ScheduleCache),
 //! [`PlanCache`](crate::PlanCache),
-//! [`ServiceCostCache`](crate::ServiceCostCache) and the
-//! [`ScenarioClassifier`](crate::ScenarioClassifier)'s per-mix memo).
+//! [`ServiceCostCache`](crate::ServiceCostCache), the
+//! [`ScenarioClassifier`](crate::ScenarioClassifier)'s per-mix memo and
+//! every [`StagePlan`](crate::StagePlan)'s timing memo).
 //!
 //! Every value a memo holds is a pure function of its key, so eviction
 //! never changes a result, only forces a recomputation. What the memo

@@ -6,7 +6,7 @@
 //! against its provisioned power, and the LowPower / Pareto / HighPerf
 //! designs are selected from the resulting cloud.
 
-use q100_core::{SimConfig, TileKind, TileMix};
+use q100_core::{SimConfig, TileMix};
 
 use crate::runner::Workload;
 
@@ -180,19 +180,6 @@ pub fn explore(workload: &Workload) -> DesignSpace {
         })
         .collect();
     DesignSpace { points }
-}
-
-/// The paper's selected swept-tile counts, used by shape assertions:
-/// LowPower (1,1,1), Pareto (4,2,1), HighPerf (5,3,6).
-#[must_use]
-pub fn paper_selections() -> [(u32, u32, u32); 3] {
-    let lp = TileMix::low_power();
-    let pa = TileMix::pareto();
-    let hp = TileMix::high_perf();
-    let pick = |m: TileMix| {
-        (m.count(TileKind::Alu), m.count(TileKind::Partitioner), m.count(TileKind::Sorter))
-    };
-    [pick(lp), pick(pa), pick(hp)]
 }
 
 #[cfg(test)]

@@ -33,16 +33,6 @@ pub struct SchedStudy {
 }
 
 impl SchedStudy {
-    /// Per-query runtimes normalized to naive (Figure 19's series).
-    #[must_use]
-    pub fn runtime_vs_naive(&self, scheduler: usize) -> Vec<f64> {
-        self.outcomes[scheduler]
-            .iter()
-            .zip(&self.outcomes[0])
-            .map(|(s, n)| s.runtime_ms / n.runtime_ms)
-            .collect()
-    }
-
     /// Average runtime normalized to naive (Figure 20's bars).
     #[must_use]
     pub fn avg_runtime_vs_naive(&self, scheduler: usize) -> f64 {

@@ -18,6 +18,7 @@
 //! policy consumes — byte-identical to the original one-phase loop at
 //! any worker count.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use q100_dbms::FallbackAccount;
@@ -281,7 +282,10 @@ fn resolve_costs(
     let mut candidates: Vec<usize> = (0..n).collect();
     let mut next_candidates: Vec<usize> = Vec::new();
     let mut round: Vec<(usize, crate::device::CostProbe)> = Vec::new();
-    let mut round_cost: HashMap<(usize, CostKey), ServiceCost> = HashMap::new();
+    // Each distinct (query, key) of a round: its cost, or `None` while
+    // it is a miss waiting for `par`. `misses` keeps the misses in
+    // first-probe order for `par.run`.
+    let mut round_cost: HashMap<(usize, CostKey), Option<ServiceCost>> = HashMap::new();
     let mut misses: Vec<(usize, CostKey)> = Vec::new();
 
     for attempt in 1..=max_attempts {
@@ -312,14 +316,12 @@ fn resolve_costs(
                 continue;
             }
             let qk = (requests[i].query, probe.key);
-            if round_cost.contains_key(&qk) || misses.contains(&qk) {
-                continue;
-            }
-            match device.cost_cache().get(qk.0 as u64, &probe.key) {
-                Some(cost) => {
-                    round_cost.insert(qk, cost);
+            if let Entry::Vacant(slot) = round_cost.entry(qk) {
+                let cached = device.cost_cache().get(qk.0 as u64, &probe.key);
+                if cached.is_none() {
+                    misses.push(qk);
                 }
-                None => misses.push(qk),
+                slot.insert(cached);
             }
         }
         let fresh = par.run(misses.len(), &|j: usize| {
@@ -333,12 +335,15 @@ fn resolve_costs(
             let cost =
                 if enc == COST_FAILED { ServiceCost::Failed } else { ServiceCost::Cycles(enc) };
             device.cost_cache().insert(query as u64, key, cost);
-            round_cost.insert((query, key), cost);
+            round_cost.insert((query, key), Some(cost));
         }
 
         next_candidates.clear();
         for &(i, ref probe) in &round {
-            let cost = probe.known.unwrap_or_else(|| round_cost[&(requests[i].query, probe.key)]);
+            let cost = probe
+                .known
+                .or_else(|| round_cost[&(requests[i].query, probe.key)])
+                .expect("phase 1 resolves every (query, key) of its round");
             let enc = match cost {
                 ServiceCost::Failed => COST_FAILED,
                 ServiceCost::Cycles(c) => {

@@ -246,25 +246,6 @@ pub fn broadcast_join(
     b.join(scalar_table, key, big_keyed, "bzero")
 }
 
-/// Filters a set of columns of `table` by a predicate port (a boolean
-/// column aligned with the table) and stitches the survivors back into
-/// a table.
-pub fn filter_table(
-    b: &mut GraphBuilder,
-    table: PortRef,
-    bools: PortRef,
-    cols: &[&str],
-) -> PortRef {
-    let filtered: Vec<PortRef> = cols
-        .iter()
-        .map(|c| {
-            let col = b.col_select(table, *c);
-            b.col_filter(col, bools)
-        })
-        .collect();
-    b.stitch(&filtered)
-}
-
 /// `ext * (1 - disc)` in ×100 fixed point: `ext - ext*disc/100`.
 /// The identical formula appears in the software plans, so results
 /// match bit-for-bit.

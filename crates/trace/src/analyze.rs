@@ -9,10 +9,6 @@
 //!
 //! * [`critical_path`] — the heaviest chain through the compiled-plan
 //!   DAG, weighted by per-node active cycles;
-//! * [`kind_utilization`] / [`link_utilization`] /
-//!   [`utilization_histogram`] — how busy each tile class, each
-//!   same-stage producer→consumer link class, and the node population
-//!   are over the whole runtime;
 //! * [`what_ifs`] — analytical estimates of relaxing one resource
 //!   (double a bandwidth cap, add one tile instance) computed directly
 //!   from the blame ledger, with no re-simulation.
@@ -21,8 +17,6 @@
 //! [`BlameReport::check_invariant`] and a property test in core): for
 //! every node, `active_cycles + Σ blamed == total query cycles`. Every
 //! cycle of the run is attributed, for every node, exactly once.
-
-use crate::metrics::Histogram;
 
 /// Why a node failed to make ideal progress during some cycles.
 ///
@@ -303,115 +297,6 @@ pub fn critical_path(report: &BlameReport) -> CriticalPath {
     }
 }
 
-/// Aggregate utilization of one tile class over the whole runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KindUtilization {
-    /// Tile kind (endpoint index).
-    pub kind: u16,
-    /// Plan nodes of this kind.
-    pub nodes: u32,
-    /// Provisioned instances in the design.
-    pub count: u32,
-    /// Sum of active cycles over the class's nodes.
-    pub busy_cycles: f64,
-    /// Time-averaged busy fraction per provisioned instance:
-    /// `busy / (cycles × count)`.
-    pub utilization: f64,
-}
-
-/// Per-tile-class utilization, ascending by kind; classes with no plan
-/// nodes are omitted.
-#[must_use]
-pub fn kind_utilization(report: &BlameReport) -> Vec<KindUtilization> {
-    let total = report.cycles as f64;
-    let kinds = report.tile_counts.len();
-    let mut busy = vec![0.0_f64; kinds];
-    let mut nodes = vec![0u32; kinds];
-    for nb in &report.nodes {
-        let k = nb.kind as usize;
-        if k < kinds {
-            busy[k] += nb.active_cycles;
-            nodes[k] += 1;
-        }
-    }
-    (0..kinds)
-        .filter(|&k| nodes[k] > 0)
-        .map(|k| {
-            let count = report.tile_counts[k].max(1);
-            KindUtilization {
-                kind: k as u16,
-                nodes: nodes[k],
-                count: report.tile_counts[k],
-                busy_cycles: busy[k],
-                utilization: if total > 0.0 { busy[k] / (total * count as f64) } else { 0.0 },
-            }
-        })
-        .collect()
-}
-
-/// Aggregate utilization of one same-stage producer→consumer link
-/// class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkUtilization {
-    /// Producer tile kind (endpoint index).
-    pub src: u16,
-    /// Consumer tile kind (endpoint index).
-    pub dst: u16,
-    /// Number of same-stage edges of this class.
-    pub edges: u32,
-    /// Consumer active cycles summed over those edges (the cycles the
-    /// link was actually streaming).
-    pub busy_cycles: f64,
-    /// `busy / (cycles × edges)`.
-    pub utilization: f64,
-}
-
-/// Per-NoC-link-class utilization derived from consumer activity,
-/// ascending by (src, dst). Cross-stage edges round-trip through memory
-/// and are not NoC links, so they are excluded.
-#[must_use]
-pub fn link_utilization(report: &BlameReport) -> Vec<LinkUtilization> {
-    use std::collections::BTreeMap;
-    let total = report.cycles as f64;
-    let mut links: BTreeMap<(u16, u16), (u32, f64)> = BTreeMap::new();
-    for nb in &report.nodes {
-        for &d in &nb.deps {
-            let Some(p) = report.nodes.iter().find(|x| x.node == d) else { continue };
-            if p.stage != nb.stage {
-                continue;
-            }
-            let e = links.entry((p.kind, nb.kind)).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += nb.active_cycles;
-        }
-    }
-    links
-        .into_iter()
-        .map(|((src, dst), (edges, busy))| LinkUtilization {
-            src,
-            dst,
-            edges,
-            busy_cycles: busy,
-            utilization: if total > 0.0 && edges > 0 { busy / (total * edges as f64) } else { 0.0 },
-        })
-        .collect()
-}
-
-/// Bucket bounds for [`utilization_histogram`]: busy fractions.
-pub const UTILIZATION_BOUNDS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
-
-/// Histogram of per-node busy fractions (`active / cycles`) — a quick
-/// view of how much of the plan idles.
-#[must_use]
-pub fn utilization_histogram(report: &BlameReport) -> Histogram {
-    let mut h = Histogram::new(&UTILIZATION_BOUNDS);
-    let total = report.cycles as f64;
-    for nb in &report.nodes {
-        h.observe(if total > 0.0 { nb.active_cycles / total } else { 0.0 });
-    }
-    h
-}
-
 /// One analytical resource-relaxation estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIf {
@@ -584,30 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_utilization_averages_over_instances() {
-        let u = kind_utilization(&chain_report());
-        assert_eq!(u.len(), 2);
-        // Kind 0: (100+50)/1000 over 1 instance.
-        assert!((u[0].utilization - 0.15).abs() < 1e-9);
-        // Kind 1: (700+150)/1000 over 2 instances.
-        assert!((u[1].utilization - 0.425).abs() < 1e-9);
-    }
-
-    #[test]
-    fn link_utilization_covers_same_stage_edges() {
-        let links = link_utilization(&chain_report());
-        // (0->1), (1->3) and (0->3 via node 2's kind 0): classes
-        // (0,1) x2 edges [0->1, 2->3], (1,1) x1 edge [1->3].
-        assert_eq!(links.len(), 2);
-        assert_eq!(links[0].src, 0);
-        assert_eq!(links[0].edges, 2);
-        assert_eq!(
-            links[1],
-            LinkUtilization { src: 1, dst: 1, edges: 1, busy_cycles: 150.0, utilization: 0.15 }
-        );
-    }
-
-    #[test]
     fn what_ifs_rank_by_savings_and_skip_zero() {
         let mut r = chain_report();
         // Blame the heavy node's stalls on the NoC.
@@ -633,13 +494,5 @@ mod tests {
         let top = r.top_causes();
         assert_eq!(top[0].0, BlameCause::Drained);
         assert!(top[0].1 > top[1].1);
-    }
-
-    #[test]
-    fn utilization_histogram_buckets_nodes() {
-        let h = utilization_histogram(&chain_report());
-        assert_eq!(h.total, 4);
-        // 0.10, 0.70, 0.05, 0.15 -> buckets <=0.1: 2, <=0.25: 1, <=0.75: 1.
-        assert_eq!(h.counts, vec![2, 1, 0, 1, 0, 0]);
     }
 }

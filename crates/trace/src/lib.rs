@@ -23,8 +23,8 @@
 //!   backing the [schema validators](validate) used by tests and CI.
 //! * [`analyze`] — the **bottleneck attribution** layer: the
 //!   [`BlameCause`]/[`BlameReport`] cycle-ledger data model the timing
-//!   simulator fills in, plus critical-path extraction, utilization
-//!   summaries, and analytical what-if estimates over it.
+//!   simulator fills in, plus critical-path extraction and analytical
+//!   what-if estimates over it.
 //!
 //! The crate deliberately has no dependency on `q100-core`; the
 //! simulator depends on *it* and reports tiles as endpoint indices
@@ -38,8 +38,7 @@ pub mod sink;
 pub mod validate;
 
 pub use analyze::{
-    critical_path, kind_utilization, link_utilization, utilization_histogram, what_ifs, BlameCause,
-    BlameReport, CriticalPath, KindUtilization, LinkUtilization, NodeBlame, WhatIf,
+    critical_path, what_ifs, BlameCause, BlameReport, CriticalPath, NodeBlame, WhatIf,
 };
 pub use export::{chrome_trace_json, TraceStream};
 pub use metrics::{Histogram, MetricsSnapshot, Registry, DEFAULT_BOUNDS};

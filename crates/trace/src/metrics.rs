@@ -137,17 +137,6 @@ impl Registry {
             .merge(local);
     }
 
-    /// Records `v` into histogram `key`, creating it over `bounds` on
-    /// first use (existing bounds are kept).
-    pub fn observe_with_bounds(&self, key: &str, v: f64, bounds: &[f64]) {
-        let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(key.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
-    }
-
     /// Current value of counter `key` (zero when absent).
     #[must_use]
     pub fn counter(&self, key: &str) -> u64 {
