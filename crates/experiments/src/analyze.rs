@@ -13,7 +13,6 @@ use q100_core::exec::endpoint_name;
 use q100_core::trace::{critical_path, what_ifs, BlameCause, BlameReport, CriticalPath, WhatIf};
 use q100_core::TileKind;
 
-use crate::perf_report::today;
 use crate::pool;
 use crate::runner::{paper_designs, Workload};
 
@@ -52,6 +51,38 @@ pub struct AnalyzeStudy {
 /// Display names of the tile kinds, indexed by kind discriminant.
 fn kind_names() -> Vec<&'static str> {
     (0..TileKind::COUNT).map(endpoint_name).collect()
+}
+
+/// Today's civil date as `YYYY-MM-DD`, from `SOURCE_DATE_EPOCH` when
+/// set (reproducible builds) else the system clock. No external date
+/// crate: the Gregorian conversion below is the standard
+/// days-from-epoch algorithm.
+fn today() -> String {
+    let secs = std::env::var("SOURCE_DATE_EPOCH")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .unwrap_or_else(|| {
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_secs())
+        });
+    let (y, m, d) = civil_from_days(secs / 86_400);
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Converts days since 1970-01-01 to a (year, month, day) civil date
+/// (Howard Hinnant's `civil_from_days`).
+fn civil_from_days(days: u64) -> (u64, u64, u64) {
+    let z = days + 719_468;
+    let era = z / 146_097;
+    let doe = z % 146_097;
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let y = yoe + era * 400;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = doy - (153 * mp + 2) / 5 + 1;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 };
+    (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
 /// Runs the attribution study over every (design, query) point, fanned
@@ -198,6 +229,14 @@ impl AnalyzeStudy {
 mod tests {
     use super::*;
     use q100_core::trace::validate_blame_json;
+
+    #[test]
+    fn civil_date_conversion_is_correct() {
+        assert_eq!(civil_from_days(0), (1970, 1, 1));
+        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year start
+        assert_eq!(civil_from_days(19_782), (2024, 2, 29)); // leap day
+        assert_eq!(civil_from_days(20_666), (2026, 8, 1));
+    }
 
     #[test]
     fn study_json_is_job_count_independent_and_valid() {

@@ -16,8 +16,6 @@
 //!   executed once and reused across all configuration sweeps),
 //! * [`pool`] — the parallel sweep executor (`--jobs N` / `Q100_JOBS`)
 //!   with deterministic, job-count-independent result ordering,
-//! * [`perf_report`] — the `perf-report` subcommand: a pinned sweep
-//!   subset emitting `BENCH_<date>.json` for regression tracking,
 //! * [`serve`] — the `serve` subcommand: multi-tenant query streams
 //!   through each design behind the `q100-serve` robustness policies
 //!   (admission control, deadlines, retries, circuit breaking,
@@ -34,7 +32,6 @@ pub mod ablation;
 pub mod analyze;
 pub mod comm;
 pub mod dse;
-pub mod perf_report;
 pub mod pool;
 pub mod resilience;
 pub mod runner;

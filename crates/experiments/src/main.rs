@@ -10,7 +10,6 @@
 //!   table1 table2 table3 table4
 //!   fig3 .. fig26  ablation
 //!   all          (everything; the scaled study uses --sf x 100)
-//!   perf-report  (pinned sweep subset -> BENCH_<date>.json; --out <f>)
 //!   resilience   (injected-fault sweep over the paper designs; --seed
 //!                 picks the fault campaign, --out writes the JSON)
 //!   analyze      (stall-blame bottleneck attribution per query x
@@ -22,7 +21,8 @@
 //!                 --out writes the q100-serve-v1 JSON)
 //! ```
 //!
-//! Unknown experiment names and malformed flag values exit with code 2
+//! Unknown experiment names, malformed flag values and an `--out` shared
+//! by several of `resilience`, `serve` and `analyze` exit with code 2
 //! and a one-line diagnostic on stderr.
 //!
 //! `--trace` writes a Chrome `trace_event` JSON of every workload query
@@ -34,20 +34,21 @@
 //! per-figure; figures that never consult the shared caches (or never
 //! run the fluid timing layer) print no such lines at all.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::env;
 use std::process::ExitCode;
 
-use q100_core::{power, Bandwidth, SimConfig, TileKind};
+use q100_core::{power, SimConfig, TileKind};
 use q100_experiments::{
-    ablation, analyze, comm, dse, paper_designs, perf_report, pool, resilience, sched_study,
-    sensitivity, serve, software_cmp,
+    ablation, analyze, comm, dse, paper_designs, pool, resilience, sched_study, sensitivity, serve,
+    software_cmp,
 };
 use q100_experiments::{Workload, DEFAULT_SCALE};
 
 fn usage_text() -> String {
     "usage: q100-experiments [--sf <scale>] [--jobs <n>] [--seed <n>] [--trace <f>] [--metrics <f>]\n\
-     \x20                       all | tableN ... figN ... | analyze | perf-report | resilience | serve [--out <f>]\n\
+     \x20                       all | tableN ... figN ... | analyze | resilience | serve [--out <f>]\n\
      regenerates the tables and figures of the Q100 paper (see DESIGN.md);\n\
      --jobs (or Q100_JOBS) caps the sweep worker count;\n\
      --no-jump disables the quantum-jump fast path (pure stepping,\n\
@@ -77,7 +78,7 @@ fn fail(msg: &str) -> ExitCode {
 /// Whether `name` (already stripped of a leading `--`) is a known
 /// experiment selector.
 fn is_known_experiment(name: &str) -> bool {
-    matches!(name, "ablation" | "analyze" | "perf-report" | "resilience" | "serve")
+    matches!(name, "ablation" | "analyze" | "resilience" | "serve")
         || name
             .strip_prefix("table")
             .and_then(|n| n.parse::<u32>().ok())
@@ -98,7 +99,7 @@ fn main() -> ExitCode {
     let mut wants: BTreeSet<String> = BTreeSet::new();
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
+    let mut out_path: Option<String> = None;
     let mut requests = serve::DEFAULT_REQUESTS;
     let mut soak = false;
     let mut iter = args.iter().peekable();
@@ -142,7 +143,7 @@ fn main() -> ExitCode {
             }
             "--out" => {
                 let Some(v) = iter.next() else { return fail("--out requires a path") };
-                bench_out = Some(v.clone());
+                out_path = Some(v.clone());
             }
             "--requests" => {
                 let Some(v) = iter.next() else { return fail("--requests requires a count") };
@@ -185,17 +186,15 @@ fn main() -> ExitCode {
         return usage();
     }
 
-    if wants.remove("perf-report") {
-        match perf_report::write(bench_out.as_deref()) {
-            Ok(path) => eprintln!("perf report written to {path}"),
-            Err(e) => {
-                eprintln!("perf-report failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if wants.is_empty() && trace_out.is_none() && metrics_out.is_none() {
-            return ExitCode::SUCCESS;
-        }
+    // Each of these writes its own JSON to `--out`; two of them would
+    // silently overwrite one another.
+    let writers: Vec<&str> =
+        ["resilience", "serve", "analyze"].into_iter().filter(|w| wants.contains(*w)).collect();
+    if out_path.is_some() && writers.len() > 1 {
+        return fail(&format!(
+            "--out cannot be shared by {} (each writes its own JSON)",
+            writers.join(", ")
+        ));
     }
 
     // Constant tables need no simulation.
@@ -228,8 +227,8 @@ fn main() -> ExitCode {
     // reset (caches) or snapshot (jump counters) so the next figure's
     // lines cover only its own sweep. The counts are deterministic at
     // any --jobs setting (see `CacheStats` and `JumpStats`).
-    let mut jump_mark = q100_experiments::JumpStats::default();
-    let mut cache_line = |label: &str| {
+    let jump_mark = Cell::new(q100_experiments::JumpStats::default());
+    let cache_line = |label: &str| {
         let sched = workload.sched_cache_stats();
         let plan = workload.plan_cache_stats();
         // Suppress the lines when nothing consulted the shared caches
@@ -242,8 +241,7 @@ fn main() -> ExitCode {
         }
         workload.reset_sched_cache_stats();
         let now = workload.jump_stats();
-        let jump = now.since(&jump_mark);
-        jump_mark = now;
+        let jump = now.since(&jump_mark.replace(now));
         if jump.jumped_quanta + jump.stepped_quanta > 0 {
             println!(
                 "{label} quantum jumps: {} jumps skipped {}/{} quanta ({:.1}% coverage)",
@@ -388,7 +386,7 @@ fn main() -> ExitCode {
         println!("== Resilience: injected-fault sweep over the paper designs ==");
         let study = resilience::study(&workload, seed, &resilience::DEFAULT_RATES);
         print!("{}", study.render());
-        if let Some(path) = &bench_out {
+        if let Some(path) = &out_path {
             if let Err(e) = std::fs::write(path, study.to_json()) {
                 eprintln!("cannot write resilience JSON to {path}: {e}");
                 return ExitCode::FAILURE;
@@ -408,7 +406,7 @@ fn main() -> ExitCode {
             serve::study(&workload, seed, requests, &serve::DEFAULT_RATES)
         };
         print!("{}", study.render());
-        if let Some(path) = &bench_out {
+        if let Some(path) = &out_path {
             if let Err(e) = std::fs::write(path, study.to_json()) {
                 eprintln!("cannot write serve JSON to {path}: {e}");
                 return ExitCode::FAILURE;
@@ -421,7 +419,7 @@ fn main() -> ExitCode {
         println!("== Bottleneck attribution: stall-blame per query x design ==");
         let study = analyze::study(&workload, scale);
         print!("{}", study.render_table());
-        if let Some(path) = &bench_out {
+        if let Some(path) = &out_path {
             if let Err(e) = std::fs::write(path, study.to_json()) {
                 eprintln!("cannot write blame JSON to {path}: {e}");
                 return ExitCode::FAILURE;
@@ -460,7 +458,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("Chrome trace written to {path} (open in chrome://tracing or Perfetto)");
+        // The traced pass is no figure: keep it out of the `total` lines.
         workload.reset_sched_cache_stats();
+        jump_mark.set(workload.jump_stats());
     }
     if let Some(path) = metrics_out {
         let snapshot = workload.metrics().snapshot();
@@ -475,6 +475,5 @@ fn main() -> ExitCode {
     // figure (e.g. a bare --metrics dump) end with zero counters; the
     // suppressed line keeps stdout free of `0 hits / 0 misses` noise.
     cache_line("total");
-    let _ = Bandwidth::ideal();
     ExitCode::SUCCESS
 }

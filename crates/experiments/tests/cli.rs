@@ -20,7 +20,7 @@ fn run(args: &[&str]) -> (Option<i32>, String, String) {
 
 #[test]
 fn unknown_experiment_name_exits_2_with_diagnostic() {
-    for name in ["fig99", "fig2", "table9", "frobnicate", "--resilliance"] {
+    for name in ["fig99", "fig2", "table9", "frobnicate", "--resilliance", "perf-report"] {
         let (code, _, stderr) = run(&[name]);
         assert_eq!(code, Some(2), "`{name}` must exit 2, stderr: {stderr}");
         assert!(stderr.contains("unknown experiment"), "`{name}` diagnostic: {stderr}");
@@ -36,6 +36,7 @@ fn malformed_flag_values_exit_2_with_diagnostic() {
         (&["--sf", "tiny", "fig13"][..], "--sf"),
         (&["--seed", "-1", "resilience"][..], "--seed"),
         (&["--sf"][..], "--sf"),
+        (&["--sf", "0.0005", "--out", "o.json", "resilience", "serve"][..], "--out"),
     ] {
         let (code, _, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?} must exit 2, stderr: {stderr}");
@@ -55,6 +56,15 @@ fn zero_lookup_runs_print_no_cache_lines() {
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(!stdout.contains("cache:"), "zero-lookup run must print no cache lines, got: {stdout}");
     assert!(metrics.exists());
+    // The --trace pass simulates every query, but it is no figure: its
+    // cache and jump counters must not leak into the `total` lines.
+    let trace = dir.join("trace.json");
+    let (code, stdout, stderr) = run(&["--sf", "0.0005", "--trace", trace.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    for needle in ["cache:", "quantum jumps:"] {
+        assert!(!stdout.contains(needle), "trace-only run printed `{needle}`: {stdout}");
+    }
+    assert!(trace.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,13 +1,15 @@
-//! Golden-cycle regression pins: exact simulated cycle counts for the
-//! pinned perf-report workload (q1, q6, q14 at SF 0.01) under the three
-//! paper designs. Any timing-model change — intended or not — shows up
-//! here as an exact diff, and the quantum-jump fast path is checked
-//! bit-for-bit against pure stepping on the same compiled plans.
+//! Golden-cycle regression pins: exact simulated cycle counts for q1,
+//! q6 and q14 at SF 0.01 under the three paper designs, under those
+//! designs with 5 and 10 GB/s NoC links, derated by injected faults, and
+//! as total request latency of the serve chaos-soak cell. Any
+//! timing-model change — intended or not — shows up here as an exact
+//! diff, and the quantum-jump fast path is checked bit-for-bit against
+//! pure stepping on the same compiled plans.
 
-use q100_core::{SimScratch, Simulator};
-use q100_experiments::{paper_designs, Workload};
+use q100_core::{Bandwidth, SimScratch, Simulator};
+use q100_experiments::{paper_designs, serve, Workload};
 
-/// The pinned scale factor (matches `perf_report::PINNED_SCALE`).
+/// The pinned scale factor.
 const SCALE: f64 = 0.01;
 
 /// Exact cycle counts per query under (LowPower, Pareto, HighPerf).
@@ -33,6 +35,58 @@ fn paper_design_cycles_are_pinned() {
         actual.push((*name, cycles));
     }
     assert_eq!(actual, GOLDEN.to_vec(), "golden cycle counts diverged; actuals: {actual:?}");
+}
+
+/// NoC-capped golden pins: exact cycles per query under (q1, q6, q14)
+/// for each paper design with every NoC link capped at 5 and then
+/// 10 GB/s and memory bandwidth left ideal — the two tightest limits of
+/// the Figure 13 sweep. Regenerate like `GOLDEN`.
+const GOLDEN_NOC: [(&str, f64, [u64; 3]); 6] = [
+    ("LowPower", 5.0, [573_152, 244_126, 86_258]),
+    ("LowPower", 10.0, [495_072, 244_126, 85_874]),
+    ("Pareto", 5.0, [336_920, 61_988, 68_802]),
+    ("Pareto", 10.0, [258_840, 61_988, 68_418]),
+    ("HighPerf", 5.0, [336_920, 61_988, 67_984]),
+    ("HighPerf", 10.0, [258_840, 61_988, 67_600]),
+];
+
+#[test]
+fn noc_capped_cycles_are_pinned() {
+    let names: Vec<&str> = GOLDEN.iter().map(|(q, _)| *q).collect();
+    let w = Workload::prepare_subset(SCALE, &names);
+    let mut actual = Vec::new();
+    for (design, config) in paper_designs() {
+        for noc_gbps in [5.0, 10.0] {
+            let capped = config
+                .clone()
+                .with_bandwidth(Bandwidth { noc_gbps: Some(noc_gbps), ..Bandwidth::ideal() });
+            let cycles: Vec<u64> =
+                w.queries.iter().map(|p| w.simulate(p, &capped).cycles).collect();
+            actual.push((design, noc_gbps, [cycles[0], cycles[1], cycles[2]]));
+        }
+    }
+    assert_eq!(
+        actual,
+        GOLDEN_NOC.to_vec(),
+        "NoC-capped golden cycles diverged; actuals: {actual:?}"
+    );
+}
+
+/// Serve golden pin: total request latency, Σ(finish − arrival) in
+/// cycles, of the chaos-soak cell (Pareto, heavy load, 20% faults) for
+/// 120 requests at seed 42 over the pinned queries. The cell runs the
+/// admission, deadline, retry and breaker policies over derated
+/// resilient timing, so a change in any of them shows here. Regenerate
+/// like `GOLDEN`.
+const GOLDEN_SOAK_LATENCY: u64 = 1_425_631_590;
+
+#[test]
+fn serve_soak_latency_is_pinned() {
+    let names: Vec<&str> = GOLDEN.iter().map(|(q, _)| *q).collect();
+    let w = Workload::prepare_subset(SCALE, &names);
+    let study = serve::soak(&w, 42, 120);
+    let latency: u64 = study.cells[0].report.outcomes.iter().map(|o| o.finish - o.arrival).sum();
+    assert_eq!(latency, GOLDEN_SOAK_LATENCY, "serve soak latency diverged");
 }
 
 /// Golden blame pins: the dominant stall cause — and its blamed cycle

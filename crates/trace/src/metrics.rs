@@ -380,9 +380,9 @@ mod tests {
 
     #[test]
     fn default_bounds_snapshot() {
-        // The bucket grid is part of the metrics schema: changing it
-        // invalidates stored BENCH_*.json comparisons, so it is pinned
-        // here. (Satellite: histogram bucket boundaries snapshot-tested.)
+        // The bucket grid is part of the `q100-metrics-v1` schema:
+        // changing it makes stored metrics dumps incomparable with new
+        // ones, so it is pinned here.
         assert_eq!(
             DEFAULT_BOUNDS.to_vec(),
             vec![
